@@ -41,9 +41,8 @@ def main() -> None:
             clean = simulate_record(
                 predicted_prob_matrix(cfg), plan, config_id=cid, device=device
             )
-            mi, mii = estimate_per_job(clean), estimate_pooled(clean)
-            z_i = mi.W_mean / mi.W_stderr
-            z_ii = mii.W_mean / mii.W_stderr
+            z_i = estimate_per_job(clean)[0].z
+            z_ii = estimate_pooled(clean).z
 
             leaky = simulate_record(
                 coherent_leak_prob_matrix(cfg, CoherentLeakParams(args.leak)),
@@ -51,8 +50,7 @@ def main() -> None:
                 config_id=cid,
                 device=device,
             )
-            ml = estimate_pooled(leaky)
-            z_leak = ml.W_mean / ml.W_stderr
+            z_leak = estimate_pooled(leaky).z
             print(
                 f"{device:8s} {cid:9s} {z_i:+8.2f} / {z_ii:+6.2f} {z_leak:+12.1f}"
             )

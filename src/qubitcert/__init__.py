@@ -45,7 +45,7 @@ from .sampling import (
     save_record,
     simulate_record,
 )
-from .witness import ProbMatrix, WitnessResult, witness, witness_variance, z_score
+from .witness import ProbMatrix, WitnessResult, witness, witness_variance
 
 __all__ = [
     "__version__",
@@ -84,5 +84,4 @@ __all__ = [
     "WitnessResult",
     "witness",
     "witness_variance",
-    "z_score",
 ]

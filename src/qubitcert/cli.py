@@ -1,10 +1,10 @@
 """Command-line interface: generate configs, simulate records, analyze them,
 audit the drift bound, and run extremal searches.
 
-Exit codes are a stable contract: 0 success, 2 usage or configuration error,
-3 I/O error, 4 record-schema violation.  Every random choice flows from the
---seed flag, so simulated records, CSV reports, and search results are
-byte-reproducible.
+Exit codes are a stable contract: 0 success, 1 drift bound violated
+(audit-drift), 2 usage or configuration error, 3 I/O error, 4 record-schema
+violation.  Every random choice flows from the --seed flag, so simulated
+records, CSV reports, and search results are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .sampling import (
 from .witness import witness, witness_variance
 
 EXIT_OK = 0
+EXIT_BOUND_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
@@ -145,6 +146,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_audit_drift(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     config = _resolve_config(args.config)
     bound = drift_bound(args.drift_eps)
     modes = (
@@ -179,7 +182,7 @@ def cmd_audit_drift(args) -> int:
         Path(args.out).write_text("\n".join(rows) + "\n")
         print(f"audit CSV -> {args.out}")
     print("PASS: bound never violated" if all_ok else "FAIL: bound violated")
-    return EXIT_OK
+    return EXIT_OK if all_ok else EXIT_BOUND_VIOLATED
 
 
 def cmd_optimize(args) -> int:

@@ -17,12 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import (
-    EstimatorOutput,
-    ExperimentRecord,
-    estimate_per_job,
-    estimate_pooled,
-)
+from .sampling import ExperimentRecord, estimate_per_job, estimate_pooled
+from .witness import WitnessResult
 
 __all__ = [
     "AnalysisReport",
@@ -38,40 +34,23 @@ Z_FLAG = 5.0
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything cmd-analyze prints, in structured form.
-
-    ``sigma_formula`` is the leading-order (adjugate-weighted) standard error
-    of the pooled witness; ``z_scores`` holds (per-job z, pooled z), either
-    None when its denominator is undefined.
-    """
+    """Everything cmd-analyze prints, in structured form: both estimates and
+    the per-job witnesses behind ``per_job``, in job order."""
 
     config_id: str
-    method_i: EstimatorOutput
-    method_ii: EstimatorOutput
-    sigma_formula: float
-    z_scores: tuple[float | None, float | None]
-    per_job_scatter: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.per_job_scatter) != len(self.method_i.per_job_W):
-            raise ValueError("scatter must cover exactly the included jobs")
+    per_job: WitnessResult
+    pooled: WitnessResult
+    per_job_W: np.ndarray
 
 
 def analyze_record(record: ExperimentRecord) -> AnalysisReport:
     """Run both estimators over a record and package the comparison."""
-    mi = estimate_per_job(record)
-    mii = estimate_pooled(record)
-    z_i = mi.W_mean / mi.W_stderr if mi.W_stderr else None
-    z_ii = mii.W_mean / mii.W_stderr if mii.W_stderr else None
-    included = [j for j, job in enumerate(record.jobs) if job.job_id not in mi.excluded]
-    scatter = tuple(zip(included, mi.per_job_W))
+    per_job, per_job_W = estimate_per_job(record)
     return AnalysisReport(
         config_id=record.config_id,
-        method_i=mi,
-        method_ii=mii,
-        sigma_formula=mii.W_stderr,
-        z_scores=(z_i, z_ii),
-        per_job_scatter=scatter,
+        per_job=per_job,
+        pooled=estimate_pooled(record),
+        per_job_W=per_job_W,
     )
 
 
@@ -81,17 +60,16 @@ def _fmt_z(z: float | None) -> str:
 
 def render_text(report: AnalysisReport) -> str:
     """Human-readable summary table with the 5-sigma verdict."""
-    mi, mii = report.method_i, report.method_ii
-    stderr_i = f"{mi.W_stderr:.3e}" if mi.W_stderr is not None else "undef"
+    per_job, pooled = report.per_job, report.pooled
+    stderr_i = f"{per_job.sigma:.3e}" if per_job.sigma is not None else "undef"
     lines = [
         f"config:           {report.config_id}",
-        f"jobs included:    {len(mi.per_job_W)}"
-        + (f"  (excluded: {len(mi.excluded)})" if mi.excluded else ""),
-        f"method i  (per-job W, averaged):  W = {mi.W_mean:+.6e}  stderr = {stderr_i}",
-        f"method ii (pooled p, one W):      W = {mii.W_mean:+.6e}  sigma  = {report.sigma_formula:.3e}",
-        f"z (per-job / pooled):             {_fmt_z(report.z_scores[0])} / {_fmt_z(report.z_scores[1])}",
+        f"jobs included:    {len(report.per_job_W)}",
+        f"method i  (per-job W, averaged):  W = {per_job.W:+.6e}  stderr = {stderr_i}",
+        f"method ii (pooled p, one W):      W = {pooled.W:+.6e}  sigma  = {pooled.sigma:.3e}",
+        f"z (per-job / pooled):             {_fmt_z(per_job.z)} / {_fmt_z(pooled.z)}",
     ]
-    z = report.z_scores[1]
+    z = pooled.z
     if z is None:
         verdict = "UNDEFINED (zero variance)"
     elif abs(z) > Z_FLAG:
@@ -105,7 +83,7 @@ def render_text(report: AnalysisReport) -> str:
 def write_scatter_csv(report: AnalysisReport, path: str | Path) -> None:
     """Per-job witness scatter (job index vs W), byte-deterministic."""
     rows = ["job_index,W"]
-    rows += [f"{idx},{w!r}" for idx, w in report.per_job_scatter]
+    rows += [f"{idx},{w!r}" for idx, w in enumerate(report.per_job_W.tolist())]
     Path(path).write_text("\n".join(rows) + "\n")
 
 
@@ -129,22 +107,14 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
     width, height = 640, 400
     ml, mr, mt, mb = 70, 20, 20, 45
     pw, ph = width - ml - mr, height - mt - mb
-    pts = report.per_job_scatter
-    n = len(pts)
-    bar = (
-        report.sigma_formula * math.sqrt(n)
-        if report.sigma_formula is not None
-        else 0.0
-    )
-    ys = [w for _, w in pts]
+    ys = report.per_job_W.tolist()
+    n = len(ys)
+    bar = report.pooled.sigma * math.sqrt(n)
     lo = min(min(y - bar for y in ys), 0.0)
     hi = max(max(y + bar for y in ys), 0.0)
     pad = 0.08 * (hi - lo or 1.0)
     lo, hi = lo - pad, hi + pad
-    xs = [idx for idx, _ in pts]
-    x0, x1 = min(xs), max(xs)
-    if x1 == x0:
-        x1 = x0 + 1
+    x0, x1 = 0, max(n - 1, 1)
 
     def px(x: float) -> float:
         return ml + pw * (x - x0) / (x1 - x0)
@@ -170,7 +140,7 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
             f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end">{t:.2e}</text>'
         )
     step = max(1, n // 8)
-    for idx in xs[::step]:
+    for idx in range(0, n, step):
         x = px(idx)
         e.append(
             f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" y2="{mt + ph + 4}" stroke="black"/>'
@@ -184,17 +154,17 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
         f'<line x1="{ml}" y1="{py(0.0):.2f}" x2="{ml + pw}" y2="{py(0.0):.2f}" '
         'stroke="gray" stroke-dasharray="4 3"/>'
     )
-    yi = py(report.method_i.W_mean)
+    yi = py(report.per_job.W)
     e.append(
         f'<line x1="{ml}" y1="{yi:.2f}" x2="{ml + pw}" y2="{yi:.2f}" stroke="firebrick"/>'
     )
-    yii = py(report.method_ii.W_mean)
+    yii = py(report.pooled.W)
     e.append(
         f'<line x1="{ml}" y1="{yii:.2f}" x2="{ml + pw}" y2="{yii:.2f}" '
         'stroke="steelblue" stroke-dasharray="7 3"/>'
     )
     # scatter with error bars
-    for idx, w in pts:
+    for idx, w in enumerate(ys):
         x = px(idx)
         if bar > 0.0:
             e.append(
@@ -203,10 +173,10 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
             )
         e.append(f'<circle cx="{x:.2f}" cy="{py(w):.2f}" r="2.6" fill="firebrick"/>')
     e.append(
-        f'<text x="{ml + 8}" y="{mt + 14}" fill="firebrick">per-job W (mean {report.method_i.W_mean:+.3e})</text>'
+        f'<text x="{ml + 8}" y="{mt + 14}" fill="firebrick">per-job W (mean {report.per_job.W:+.3e})</text>'
     )
     e.append(
-        f'<text x="{ml + 8}" y="{mt + 28}" fill="steelblue">pooled W {report.method_ii.W_mean:+.3e}</text>'
+        f'<text x="{ml + 8}" y="{mt + 28}" fill="steelblue">pooled W {report.pooled.W:+.3e}</text>'
     )
     e.append("</svg>")
     Path(path).write_text("\n".join(e) + "\n")

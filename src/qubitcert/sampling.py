@@ -6,7 +6,7 @@ An experiment consists of ``n_jobs`` jobs; each job runs the 20 circuits
 single-shot executions, so every probability cell is backed by
 ``T = n_jobs * shots * repetitions`` counts.  Records store raw ones-counts
 per (job, repetition, circuit) so both estimators can be formed after the
-fact:
+fact; both return a :class:`~qubitcert.witness.WitnessResult`:
 
 * per-job ("method i"): estimate p within each job, take the determinant per
   job, average the per-job witnesses;
@@ -24,21 +24,18 @@ bias study below quantifies.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .configs import ConfigSet
 from .noise import DriftModel, generate_drift_ensemble
-from .witness import ProbMatrix, witness, witness_variance
+from .witness import ProbMatrix, WitnessResult, witness, witness_variance
 
 __all__ = [
     "ExperimentPlan",
-    "JobRecord",
     "ExperimentRecord",
-    "EstimatorOutput",
     "RecordSchemaError",
     "simulate_record",
     "estimate_per_job",
@@ -80,60 +77,50 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class JobRecord:
-    """Counts of one job: array of shape (repetitions, 20, 2) holding
-    (ones_count, shots) per circuit, circuits in row-major (k, j) order."""
-
-    job_id: str
-    shots: int
-    repetitions: int
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (self.repetitions, 20, 2):
-            raise ValueError(
-                f"counts must have shape ({self.repetitions}, 20, 2), got {c.shape}"
-            )
-        if np.any(c[..., 0] < 0) or np.any(c[..., 0] > c[..., 1]):
-            raise ValueError("need 0 <= ones_count <= shots in every cell")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    def cell_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ones, shots) summed over repetitions, each shape (20,)."""
-        s = self.counts.sum(axis=0)
-        return s[:, 0], s[:, 1]
-
-
-@dataclass(frozen=True)
 class ExperimentRecord:
-    """All counts of one experiment plus identifying metadata."""
+    """All counts of one experiment plus identifying metadata.
+
+    Jobs are stacked in order: job ``n`` (id ``job_ids[n]``) ran ``reps[n]``
+    repetitions of ``shots[n]`` shots of each of the 20 circuits and owns the
+    next ``reps[n]`` rows of ``ones``, the ones-counts per circuit in
+    row-major (k, j) order.
+    """
 
     config_id: str
     device: str
-    jobs: tuple[JobRecord, ...]
+    job_ids: tuple[str, ...]
+    shots: np.ndarray
+    reps: np.ndarray
+    ones: np.ndarray
     timestamp: str | None = None
 
     def __post_init__(self) -> None:
-        if len(self.jobs) == 0:
+        job_ids = tuple(self.job_ids)
+        if len(job_ids) == 0:
             raise ValueError("record must contain at least one job")
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+        if len(set(job_ids)) != len(job_ids):
+            raise ValueError("job ids must be unique")
+        shots = np.asarray(self.shots, dtype=np.int64)
+        reps = np.asarray(self.reps, dtype=np.int64)
+        ones = np.asarray(self.ones, dtype=np.int64)
+        if shots.shape != (len(job_ids),) or reps.shape != (len(job_ids),):
+            raise ValueError("need one shots and one reps value per job")
+        if np.any(shots < 1) or np.any(reps < 1):
+            raise ValueError("shots and reps must be >= 1")
+        if ones.shape != (int(reps.sum()), 20):
+            raise ValueError(
+                f"ones must have shape ({int(reps.sum())}, 20), got {ones.shape}"
+            )
+        if np.any(ones < 0) or np.any(ones > np.repeat(shots, reps)[:, None]):
+            raise ValueError("need 0 <= ones <= shots in every cell")
+        object.__setattr__(self, "job_ids", job_ids)
+        for name, arr in (("shots", shots), ("reps", reps), ("ones", ones)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-
-@dataclass(frozen=True)
-class EstimatorOutput:
-    """Result of one estimation method.
-
-    ``W_stderr`` is None when undefined (single included job).  ``excluded``
-    lists jobs dropped for having an empty cell.
-    """
-
-    W_mean: float
-    W_stderr: float | None
-    per_job_W: tuple[float, ...]
-    method: str
-    excluded: tuple[str, ...] = field(default=())
+    def job_ones(self) -> np.ndarray:
+        """Ones-counts summed over each job's repetitions, shape (n_jobs, 20)."""
+        return np.add.reduceat(self.ones, np.cumsum(self.reps) - self.reps, axis=0)
 
 
 def simulate_record(
@@ -162,101 +149,48 @@ def simulate_record(
     if config_id is None:
         config_id = config.id if config is not None else "custom"
 
-    jobs = []
+    ones = []
     for n in range(plan.n_jobs):
         rng = np.random.default_rng(
             np.random.SeedSequence(plan.seed, spawn_key=(n,))
         )
         cells = job_ps[n].p[:4].reshape(20)
-        ones = rng.binomial(plan.shots, cells, size=(plan.repetitions, 20))
-        counts = np.stack(
-            [ones, np.full_like(ones, plan.shots)], axis=-1
-        )
-        jobs.append(JobRecord(f"job-{n:04d}", plan.shots, plan.repetitions, counts))
-    return ExperimentRecord(config_id, device, tuple(jobs))
+        ones.append(rng.binomial(plan.shots, cells, size=(plan.repetitions, 20)))
+    return ExperimentRecord(
+        config_id,
+        device,
+        tuple(f"job-{n:04d}" for n in range(plan.n_jobs)),
+        np.full(plan.n_jobs, plan.shots),
+        np.full(plan.n_jobs, plan.repetitions),
+        np.concatenate(ones),
+    )
 
 
-def _job_matrix(job: JobRecord) -> ProbMatrix | None:
-    ones, shots = job.cell_totals()
-    if np.any(shots == 0):
-        return None
-    return ProbMatrix.from_rows((ones / shots).reshape(4, 5))
-
-
-def estimate_per_job(record: ExperimentRecord) -> EstimatorOutput:
+def estimate_per_job(record: ExperimentRecord) -> tuple[WitnessResult, np.ndarray]:
     """Method (i): witness per job, then average.
 
-    ``W_stderr`` is the sample standard deviation of the per-job witnesses
-    over sqrt(n_jobs); jobs with an empty cell are excluded with a warning.
+    Returns the average, whose ``sigma`` is the sample standard deviation of
+    the per-job witnesses over sqrt(n_jobs) (None for a single job), and the
+    per-job witnesses in job order.
     """
-    ws, excluded = [], []
-    for job in record.jobs:
-        mat = _job_matrix(job)
-        if mat is None:
-            excluded.append(job.job_id)
-            continue
-        ws.append(witness(mat))
-    if excluded:
-        warnings.warn(
-            f"excluded {len(excluded)} job(s) with an empty cell: {excluded}",
-            stacklevel=2,
-        )
-    if not ws:
-        raise ValueError("no job with complete counts")
-    stderr = (
-        float(np.std(ws, ddof=1) / np.sqrt(len(ws))) if len(ws) > 1 else None
+    rows = record.job_ones() / (record.shots * record.reps)[:, None]
+    n = len(rows)
+    ws = np.linalg.det(
+        np.concatenate([rows.reshape(n, 4, 5), np.ones((n, 1, 5))], axis=1)
     )
-    return EstimatorOutput(
-        W_mean=float(np.mean(ws)),
-        W_stderr=stderr,
-        per_job_W=tuple(ws),
-        method="per-job",
-        excluded=tuple(excluded),
-    )
+    sigma = float(np.std(ws, ddof=1) / np.sqrt(n)) if n > 1 else None
+    return WitnessResult(float(np.mean(ws)), sigma), ws
 
 
-def estimate_pooled(record: ExperimentRecord) -> EstimatorOutput:
+def estimate_pooled(record: ExperimentRecord) -> WitnessResult:
     """Method (ii): pool all counts cellwise, then one witness.
 
-    The standard error comes from the leading-order variance formula; when
-    cell totals are unequal (ragged records) the per-cell totals are used.
+    Every cell is backed by the same ``T = sum(shots * reps)`` counts, and
+    ``sigma`` comes from the leading-order variance formula at that ``T``.
     """
-    ones = np.zeros(20, dtype=np.int64)
-    shots = np.zeros(20, dtype=np.int64)
-    excluded = []
-    for job in record.jobs:
-        if np.any(job.cell_totals()[1] == 0):
-            excluded.append(job.job_id)
-            continue
-        o, s = job.cell_totals()
-        ones += o
-        shots += s
-    if excluded:
-        warnings.warn(
-            f"excluded {len(excluded)} job(s) with an empty cell: {excluded}",
-            stacklevel=2,
-        )
-    if np.any(shots == 0):
-        raise ValueError("no job with complete counts")
-    p = ProbMatrix.from_rows((ones / shots).reshape(4, 5))
-    w = witness(p)
-    if np.all(shots == shots[0]):
-        var = witness_variance(p, int(shots[0]))
-    else:
-        from .witness import adjugate
-
-        adj = adjugate(p)
-        cells = p.p[:4]
-        var = float(
-            np.sum(cells * (1.0 - cells) * adj.T[:4] ** 2 / shots.reshape(4, 5))
-        )
-    return EstimatorOutput(
-        W_mean=w,
-        W_stderr=float(np.sqrt(var)),
-        per_job_W=(),
-        method="pooled",
-        excluded=tuple(excluded),
-    )
+    total = int(np.sum(record.shots * record.reps))
+    p = ProbMatrix.from_rows((record.ones.sum(axis=0) / total).reshape(4, 5))
+    return WitnessResult(witness(p), float(np.sqrt(witness_variance(p, total))))
 
 
 @dataclass(frozen=True)
@@ -327,17 +261,24 @@ def estimator_bias_study(
 
 
 def record_to_dict(record: ExperimentRecord) -> dict:
+    shots = np.repeat(record.shots, record.reps)[:, None]
+    pairs = np.stack([record.ones, np.broadcast_to(shots, record.ones.shape)], axis=-1)
     out = {
         "config_id": record.config_id,
         "device": record.device,
         "jobs": [
             {
-                "job_id": job.job_id,
-                "shots": job.shots,
-                "repetitions": job.repetitions,
-                "counts": job.counts.tolist(),
+                "job_id": job_id,
+                "shots": job_shots,
+                "repetitions": reps,
+                "counts": counts.tolist(),
             }
-            for job in record.jobs
+            for job_id, job_shots, reps, counts in zip(
+                record.job_ids,
+                record.shots.tolist(),
+                record.reps.tolist(),
+                np.split(pairs, np.cumsum(record.reps)[:-1]),
+            )
         ],
     }
     if record.timestamp is not None:
@@ -360,7 +301,11 @@ def _require(data: dict, key: str, kind, path: str):
 
 
 def record_from_dict(data: dict) -> ExperimentRecord:
-    """Parse and validate a record document, naming the first offending field."""
+    """Parse and validate a record document, naming the first offending field.
+
+    Job ids must be unique, and every cell must be ``[ones, shots]`` with the
+    job's ``shots`` and ``0 <= ones <= shots``, so no cell is empty.
+    """
     if not isinstance(data, dict):
         raise RecordSchemaError("$", "record must be a JSON object")
     config_id = _require(data, "config_id", str, "")
@@ -371,12 +316,19 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     timestamp = data.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):
         raise RecordSchemaError("timestamp", "must be a string when present")
-    jobs = []
+    first_use: dict[str, int] = {}
+    all_shots, all_reps, ones = [], [], []
     for idx, raw in enumerate(raw_jobs):
         path = f"jobs[{idx}]."
         if not isinstance(raw, dict):
             raise RecordSchemaError(f"jobs[{idx}]", "must be an object")
         job_id = _require(raw, "job_id", str, path)
+        if job_id in first_use:
+            raise RecordSchemaError(
+                f"{path}job_id",
+                f"duplicate id {job_id!r}, already used by jobs[{first_use[job_id]}]",
+            )
+        first_use[job_id] = idx
         shots = _require(raw, "shots", int, path)
         reps = _require(raw, "repetitions", int, path)
         if shots < 1:
@@ -394,21 +346,40 @@ def record_from_dict(data: dict) -> ExperimentRecord:
             raise RecordSchemaError(
                 f"{path}counts", f"must be an integer array, got dtype {arr.dtype}"
             )
-        arr = arr.astype(np.int64)
         if arr.shape != (reps, 20, 2):
             raise RecordSchemaError(
                 f"{path}counts",
                 f"must have shape [repetitions={reps}][20][2], got {list(arr.shape)}",
             )
-        bad = np.argwhere((arr[..., 0] < 0) | (arr[..., 0] > arr[..., 1]))
+        # numpy reads a boolean among integers as 0 or 1: look at those entries
+        for r, c, k in np.argwhere(arr <= 1).tolist():
+            if isinstance(counts[r][c][k], bool):
+                raise RecordSchemaError(
+                    f"{path}counts[{r}][{c}]", f"must hold integers, got {counts[r][c]!r}"
+                )
+        arr = arr.astype(np.int64)
+        bad = np.argwhere(
+            (arr[..., 1] != shots) | (arr[..., 0] < 0) | (arr[..., 0] > shots)
+        )
         if bad.size:
             r, c = bad[0]
             raise RecordSchemaError(
                 f"{path}counts[{r}][{c}]",
-                f"needs 0 <= ones <= shots, got {arr[r, c].tolist()}",
+                f"needs [ones, shots] with shots = {shots} (the job's) and "
+                f"0 <= ones <= shots, got {arr[r, c].tolist()}",
             )
-        jobs.append(JobRecord(job_id, shots, reps, arr))
-    return ExperimentRecord(config_id, device, tuple(jobs), timestamp)
+        all_shots.append(shots)
+        all_reps.append(reps)
+        ones.append(arr[..., 0])
+    return ExperimentRecord(
+        config_id,
+        device,
+        tuple(first_use),
+        np.array(all_shots),
+        np.array(all_reps),
+        np.concatenate(ones),
+        timestamp,
+    )
 
 
 def save_record(record: ExperimentRecord, path: str | Path) -> None:

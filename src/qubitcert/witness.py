@@ -31,7 +31,6 @@ __all__ = [
     "witness",
     "adjugate",
     "witness_variance",
-    "z_score",
     "det_exact",
 ]
 
@@ -69,17 +68,20 @@ class ProbMatrix:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Witness value with its shot-noise error bar.
+    """Witness estimate with its standard error.
 
-    ``T`` is the total per-cell count (jobs x shots x repetitions).  ``z`` is
-    ``W / sigma`` and is ``None`` when ``sigma = 0`` (noise-free matrices, or
-    cells pinned to 0/1).
+    ``sigma`` is None when no error bar is defined (a per-job average over a
+    single job).  ``z = W / sigma`` is the significance that the ``|z| > 5``
+    failure criterion reads; it is None when ``sigma`` is None or 0 (cells
+    pinned to 0/1, or identical jobs).
     """
 
     W: float
-    sigma: float
-    z: float | None
-    T: int
+    sigma: float | None
+
+    @property
+    def z(self) -> float | None:
+        return self.W / self.sigma if self.sigma else None
 
 
 def _mat(p: ProbMatrix | np.ndarray) -> np.ndarray:
@@ -125,15 +127,6 @@ def witness_variance(p: ProbMatrix | np.ndarray, T: int) -> float:
     a = _mat(p)
     adj = adjugate(a)
     return float(np.sum(a * (1.0 - a) * adj.T**2)) / T
-
-
-def z_score(p: ProbMatrix | np.ndarray, T: int) -> WitnessResult:
-    """Witness value, standard error, and significance for a matrix of
-    cell probabilities each backed by ``T`` counts."""
-    w = witness(p)
-    sigma = float(np.sqrt(witness_variance(p, T)))
-    z = w / sigma if sigma > 0.0 else None
-    return WitnessResult(W=w, sigma=sigma, z=z, T=int(T))
 
 
 def det_exact(matrix) -> Fraction:

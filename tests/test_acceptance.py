@@ -201,13 +201,11 @@ def test_criterion_8_reference_footprint_z_scores():
     clean = simulate_record(
         predicted_prob_matrix(cfg), plan, config_id="II-0", device="nairobi"
     )
-    est = estimate_pooled(clean)
-    z_clean = est.W_mean / est.W_stderr
+    z_clean = estimate_pooled(clean).z
 
     leaky_p = coherent_leak_prob_matrix(cfg, CoherentLeakParams(0.3))
     leaky = simulate_record(leaky_p, plan, config_id="II-0", device="nairobi")
-    est = estimate_pooled(leaky)
-    z_leak = est.W_mean / est.W_stderr
+    z_leak = estimate_pooled(leaky).z
 
     t = time.perf_counter() - t0
     _report(

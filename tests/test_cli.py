@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from qubitcert.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+import qubitcert.cli as cli
+from qubitcert.cli import (
+    EXIT_BOUND_VIOLATED,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SCHEMA,
+    EXIT_USAGE,
+    main,
+)
 from qubitcert.configs import builtin_config, load_config, predicted_prob_matrix
 from qubitcert.sampling import load_record
 from qubitcert.witness import witness
@@ -77,8 +85,8 @@ def test_simulate_writes_record(tmp_path, capsys):
     assert "T = 3000" in stdout
     rec = load_record(out)
     assert rec.config_id == "I-second"
-    assert len(rec.jobs) == 3
-    assert rec.jobs[0].shots == 500
+    assert len(rec.job_ids) == 3
+    assert rec.shots.tolist() == [500] * 3
 
 
 def test_simulate_is_seed_deterministic(tmp_path, capsys):
@@ -197,6 +205,21 @@ def test_analyze_schema_violation(tmp_path, capsys):
     assert "jobs[0].counts[0][3]" in stderr
 
 
+def test_analyze_rejects_duplicate_job_ids(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    code, _, _ = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "3", "--shots", "20",
+        "--out", str(rec),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(rec.read_text())
+    doc["jobs"][2]["job_id"] = doc["jobs"][0]["job_id"]
+    rec.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "analyze", str(rec))
+    assert code == EXIT_SCHEMA
+    assert "jobs[2].job_id" in stderr
+
+
 # --- audit-drift -----------------------------------------------------------
 
 
@@ -242,6 +265,30 @@ def test_audit_drift_zero_epsilon_passes(capsys):
     )
     assert code == EXIT_OK
     assert "PASS: bound never violated" in stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_audit_drift_rejects_no_trials(capsys, trials):
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.01",
+        "--trials", trials,
+    )
+    assert code == EXIT_USAGE
+    assert "--trials" in stderr
+    assert "PASS" not in stdout
+
+
+def test_audit_drift_violated_bound_exits_1(tmp_path, capsys, monkeypatch):
+    # the bound is a theorem, so shrink it to make the audit fail
+    monkeypatch.setattr(cli, "drift_bound", lambda eps: 1e-9)
+    csv = tmp_path / "audit.csv"
+    code, stdout, _ = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
+        "--trials", "3", "--drift-mode", "column-mix", "--out", str(csv),
+    )
+    assert code == EXIT_BOUND_VIOLATED == 1
+    assert "FAIL: bound violated" in stdout
+    assert csv.read_text().splitlines()[1].endswith(",False")
 
 
 def test_audit_drift_single_mode(capsys):

@@ -1,6 +1,7 @@
 """Report assembly, text rendering, and deterministic CSV/SVG output."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
@@ -14,10 +15,12 @@ from qubitcert.reports import (
 )
 from qubitcert.sampling import (
     ExperimentPlan,
-    ExperimentRecord,
-    JobRecord,
+    RecordSchemaError,
+    record_from_dict,
+    record_to_dict,
     simulate_record,
 )
+from qubitcert.witness import WitnessResult
 
 
 @pytest.fixture
@@ -30,28 +33,12 @@ def record():
 
 def test_report_structure(record):
     rep = analyze_record(record)
+    assert isinstance(rep, AnalysisReport)
     assert rep.config_id == "I-second"
-    assert rep.method_i.method == "per-job"
-    assert rep.method_ii.method == "pooled"
-    assert rep.sigma_formula == rep.method_ii.W_stderr
-    assert len(rep.per_job_scatter) == 8
-    assert [idx for idx, _ in rep.per_job_scatter] == list(range(8))
-    z_i, z_ii = rep.z_scores
-    assert z_i == pytest.approx(rep.method_i.W_mean / rep.method_i.W_stderr)
-    assert z_ii == pytest.approx(rep.method_ii.W_mean / rep.sigma_formula)
-
-
-def test_scatter_must_match_included_jobs(record):
-    rep = analyze_record(record)
-    with pytest.raises(ValueError):
-        AnalysisReport(
-            config_id=rep.config_id,
-            method_i=rep.method_i,
-            method_ii=rep.method_ii,
-            sigma_formula=rep.sigma_formula,
-            z_scores=rep.z_scores,
-            per_job_scatter=rep.per_job_scatter[:3],
-        )
+    assert rep.per_job_W.shape == (8,)
+    assert rep.per_job.W == pytest.approx(rep.per_job_W.mean())
+    assert rep.per_job.z == pytest.approx(rep.per_job.W / rep.per_job.sigma)
+    assert rep.pooled.z == pytest.approx(rep.pooled.W / rep.pooled.sigma)
 
 
 def test_render_text_clean_record_passes(record):
@@ -64,14 +51,8 @@ def test_render_text_clean_record_passes(record):
 def test_render_text_flags_large_z(record):
     rep = analyze_record(record)
     # synthetic report with a huge pooled z
-    fake = AnalysisReport(
-        config_id=rep.config_id,
-        method_i=rep.method_i,
-        method_ii=rep.method_ii,
-        sigma_formula=rep.sigma_formula,
-        z_scores=(rep.z_scores[0], 3.0 * Z_FLAG),
-        per_job_scatter=rep.per_job_scatter,
-    )
+    sigma = rep.pooled.sigma
+    fake = dataclasses.replace(rep, pooled=WitnessResult(3.0 * Z_FLAG * sigma, sigma))
     assert "FAIL" in render_text(fake)
 
 
@@ -79,18 +60,21 @@ def test_render_text_single_job():
     truth = predicted_prob_matrix(builtin_config("II-0"))
     rec = simulate_record(truth, ExperimentPlan(1, 500, 1, seed=2), config_id="II-0")
     rep = analyze_record(rec)
-    assert rep.z_scores[0] is None
+    assert rep.per_job.z is None
     assert "undef" in render_text(rep)
 
 
-def test_excluded_jobs_skipped_in_scatter(record):
-    empty = JobRecord("job-dead", 100, 2, np.zeros((2, 20, 2), dtype=np.int64))
-    rec = ExperimentRecord(record.config_id, record.device, record.jobs + (empty,))
-    with pytest.warns(UserWarning):
-        rep = analyze_record(rec)
-    assert len(rep.per_job_scatter) == 8
-    assert all(idx < 8 for idx, _ in rep.per_job_scatter)
-    assert rep.method_i.excluded == ("job-dead",)
+def test_empty_job_rejected_before_analysis(record):
+    """A job with 0 shots in every cell is rejected when the record is read,
+    so no scatter ever has to skip it."""
+    doc = record_to_dict(record)
+    doc["jobs"].append(
+        {"job_id": "job-dead", "shots": 100, "repetitions": 2,
+         "counts": [[[0, 0]] * 20] * 2}
+    )
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[8].counts[0][0]"
 
 
 def test_csv_deterministic_and_parsable(tmp_path, record):
@@ -105,7 +89,7 @@ def test_csv_deterministic_and_parsable(tmp_path, record):
     idx, w = lines[3].split(",")
     assert int(idx) == 2
     # repr round-trip: the float parses back exactly
-    assert float(w) == rep.per_job_scatter[2][1]
+    assert float(w) == rep.per_job_W[2]
 
 
 def test_svg_deterministic_and_well_formed(tmp_path, record):

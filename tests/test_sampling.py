@@ -1,9 +1,12 @@
 """Simulated counting, the two estimators, and the record file format."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.noise import DriftModel
@@ -11,7 +14,6 @@ from qubitcert.sampling import (
     BiasStudyRow,
     ExperimentPlan,
     ExperimentRecord,
-    JobRecord,
     RecordSchemaError,
     estimate_per_job,
     estimate_pooled,
@@ -35,6 +37,16 @@ def small_plan():
     return ExperimentPlan(n_jobs=4, shots=200, repetitions=3, seed=5)
 
 
+def _mixed_record(truth):
+    """Three jobs of (300 shots x 1 rep, 300 x 1, 700 x 2)."""
+    a = simulate_record(truth, ExperimentPlan(2, 300, 1, seed=1))
+    b = simulate_record(truth, ExperimentPlan(1, 700, 2, seed=99))
+    return ExperimentRecord(
+        "I-second", "sim", ("a0", "a1", "b0"), [300, 300, 700], [1, 1, 2],
+        np.concatenate([a.ones, b.ones]),
+    )
+
+
 # --- plan & record containers ---------------------------------------------
 
 
@@ -48,20 +60,25 @@ def test_plan_totals_and_validation():
 
 
 def test_job_record_validation():
-    counts = np.zeros((2, 20, 2), dtype=np.int64)
-    counts[..., 1] = 50
-    JobRecord("j", 50, 2, counts)
-    bad = counts.copy()
-    bad[0, 3, 0] = 51
+    """Per-job counts held by the record: ones within [0, shots], one block
+    of rows per repetition, one shots and reps value per job, unique ids."""
+    ones = np.zeros((2, 20), dtype=np.int64)
+    ExperimentRecord("II-0", "sim", ("j",), [50], [2], ones)
+    bad = ones.copy()
+    bad[0, 3] = 51
     with pytest.raises(ValueError):
-        JobRecord("j", 50, 2, bad)
+        ExperimentRecord("II-0", "sim", ("j",), [50], [2], bad)
     with pytest.raises(ValueError):
-        JobRecord("j", 50, 3, counts)  # shape mismatch
+        ExperimentRecord("II-0", "sim", ("j",), [50], [3], ones)  # shape mismatch
+    with pytest.raises(ValueError):
+        ExperimentRecord("II-0", "sim", ("j",), [50, 50], [2], ones)
+    with pytest.raises(ValueError):
+        ExperimentRecord("II-0", "sim", ("j", "j"), [50, 50], [1, 1], ones)
 
 
 def test_record_requires_jobs():
     with pytest.raises(ValueError):
-        ExperimentRecord("II-0", "sim", ())
+        ExperimentRecord("II-0", "sim", (), [], [], np.zeros((0, 20)))
 
 
 # --- simulation ------------------------------------------------------------
@@ -71,25 +88,22 @@ def test_simulation_is_deterministic(truth, small_plan):
     a = simulate_record(truth, small_plan, config_id="I-second")
     b = simulate_record(truth, small_plan, config_id="I-second")
     assert a.config_id == "I-second"
-    for x, y in zip(a.jobs, b.jobs):
-        assert x.job_id == y.job_id
-        assert np.array_equal(x.counts, y.counts)
+    assert a.job_ids == b.job_ids
+    assert np.array_equal(a.ones, b.ones)
 
 
 def test_simulation_seed_changes_counts(truth, small_plan):
     a = simulate_record(truth, small_plan)
     b = simulate_record(truth, ExperimentPlan(4, 200, 3, seed=6))
-    assert any(not np.array_equal(x.counts, y.counts) for x, y in zip(a.jobs, b.jobs))
+    assert not np.array_equal(a.ones, b.ones)
 
 
 def test_simulation_shapes_and_ids(truth, small_plan):
     rec = simulate_record(truth, small_plan)
-    assert len(rec.jobs) == 4
-    assert rec.jobs[0].job_id == "job-0000"
-    assert rec.jobs[3].job_id == "job-0003"
-    for job in rec.jobs:
-        assert job.counts.shape == (3, 20, 2)
-        assert np.all(job.counts[..., 1] == 200)
+    assert rec.job_ids == ("job-0000", "job-0001", "job-0002", "job-0003")
+    assert rec.ones.shape == (4 * 3, 20)
+    assert rec.shots.tolist() == [200] * 4
+    assert rec.reps.tolist() == [3] * 4
 
 
 def test_degenerate_probabilities_sample_exactly():
@@ -98,10 +112,9 @@ def test_degenerate_probabilities_sample_exactly():
     rec = simulate_record(
         ProbMatrix.from_rows(rows), ExperimentPlan(2, 100, 2, seed=1)
     )
-    for job in rec.jobs:
-        ones = job.counts[..., 0].reshape(2, 4, 5)
-        assert np.all(ones[:, :, 0] == 100)
-        assert np.all(ones[:, :, 1:] == 0)
+    ones = rec.ones.reshape(4, 4, 5)
+    assert np.all(ones[:, :, 0] == 100)
+    assert np.all(ones[:, :, 1:] == 0)
 
 
 def test_drift_requires_config(truth, small_plan):
@@ -118,7 +131,7 @@ def test_drift_simulation_runs(small_plan):
         config=cfg,
     )
     assert rec.config_id == "II-0"
-    assert len(rec.jobs) == 4
+    assert len(rec.job_ids) == 4
 
 
 # --- estimators ------------------------------------------------------------
@@ -138,34 +151,47 @@ def test_estimators_on_exact_counts():
     p = ProbMatrix.from_rows(rows)
     shots = 400
     ones = np.round(rows.reshape(20) * shots).astype(np.int64)
-    counts = np.stack([ones, np.full(20, shots, dtype=np.int64)], axis=-1)[None]
-    jobs = tuple(JobRecord(f"job-{i}", shots, 1, counts) for i in range(3))
-    rec = ExperimentRecord("custom", "sim", jobs)
-    est_i = estimate_per_job(rec)
+    rec = ExperimentRecord(
+        "custom", "sim", ("job-0", "job-1", "job-2"), [shots] * 3, [1] * 3,
+        np.tile(ones, (3, 1)),
+    )
+    est_i, per_job_W = estimate_per_job(rec)
     est_ii = estimate_pooled(rec)
-    assert est_i.W_mean == pytest.approx(witness(p), abs=1e-12)
-    assert est_i.W_stderr == pytest.approx(0.0, abs=1e-15)
-    assert est_ii.W_mean == pytest.approx(witness(p), abs=1e-12)
-    assert est_i.method == "per-job"
-    assert est_ii.method == "pooled"
-    assert len(est_i.per_job_W) == 3
-    assert est_ii.per_job_W == ()
+    assert est_i.W == pytest.approx(witness(p), abs=1e-12)
+    assert est_i.sigma == pytest.approx(0.0, abs=1e-15)
+    assert est_ii.W == pytest.approx(witness(p), abs=1e-12)
+    assert per_job_W.shape == (3,)
+
+
+def test_per_job_witnesses_match_per_job_loop(truth):
+    """The batched determinant gives, bit for bit, one witness() per job."""
+    rec = _mixed_record(truth)
+    est, per_job_W = estimate_per_job(rec)
+    loop, row = [], 0
+    for shots, reps in zip(rec.shots.tolist(), rec.reps.tolist()):
+        ones = rec.ones[row : row + reps].sum(axis=0)
+        loop.append(witness(ProbMatrix.from_rows((ones / (shots * reps)).reshape(4, 5))))
+        row += reps
+    assert per_job_W.tolist() == loop
+    assert est.W == float(np.mean(loop))
+    assert est.sigma == float(np.std(loop, ddof=1) / np.sqrt(3))
 
 
 def test_single_job_stderr_is_none(truth):
     rec = simulate_record(truth, ExperimentPlan(1, 500, 2, seed=3))
-    est = estimate_per_job(rec)
-    assert est.W_stderr is None
-    assert len(est.per_job_W) == 1
+    est, per_job_W = estimate_per_job(rec)
+    assert est.sigma is None
+    assert est.z is None
+    assert len(per_job_W) == 1
 
 
 def test_estimates_concentrate_near_truth(truth):
     rec = simulate_record(truth, ExperimentPlan(10, 4000, 5, seed=17))
-    est_i = estimate_per_job(rec)
+    est_i, _ = estimate_per_job(rec)
     est_ii = estimate_pooled(rec)
     # truth is witness-zero; both should sit within a few sigma of zero
-    assert abs(est_i.W_mean) < 5 * est_i.W_stderr + 1e-12
-    assert abs(est_ii.W_mean) < 5 * est_ii.W_stderr + 1e-12
+    assert abs(est_i.W) < 5 * est_i.sigma + 1e-12
+    assert abs(est_ii.W) < 5 * est_ii.sigma + 1e-12
 
 
 def test_pooled_stderr_matches_variance_formula(truth):
@@ -173,58 +199,50 @@ def test_pooled_stderr_matches_variance_formula(truth):
 
     rec = simulate_record(truth, ExperimentPlan(6, 1000, 2, seed=8))
     est = estimate_pooled(rec)
-    ones = sum(j.cell_totals()[0] for j in rec.jobs)
-    shots = sum(j.cell_totals()[1] for j in rec.jobs)
-    p = ProbMatrix.from_rows((ones / shots).reshape(4, 5))
-    assert est.W_stderr == pytest.approx(
-        np.sqrt(witness_variance(p, int(shots[0]))), rel=1e-12
+    p = ProbMatrix.from_rows((rec.ones.sum(axis=0) / 12_000).reshape(4, 5))
+    assert est.sigma == pytest.approx(
+        np.sqrt(witness_variance(p, 12_000)), rel=1e-12
     )
 
 
 def test_pooled_handles_unequal_job_sizes(truth):
-    """Jobs of different shot counts pool cellwise; the stderr falls back to
-    the general per-cell-total formula, which for equal totals must agree
-    with the shortcut."""
+    """Jobs of different shots and repetitions pool cellwise, every cell
+    backed by T = sum(shots * reps); the stderr agrees with the per-cell
+    adjugate formula at that T."""
     from qubitcert.witness import adjugate
 
-    a = simulate_record(truth, ExperimentPlan(2, 300, 1, seed=1))
-    b = simulate_record(truth, ExperimentPlan(1, 700, 2, seed=99))
-    rec = ExperimentRecord("I-second", "sim", a.jobs + b.jobs)
+    rec = _mixed_record(truth)
     est = estimate_pooled(rec)
-    ones = sum(j.cell_totals()[0] for j in rec.jobs)
-    shots = sum(j.cell_totals()[1] for j in rec.jobs)
-    p = ProbMatrix.from_rows((ones / shots).reshape(4, 5))
-    assert est.W_mean == pytest.approx(witness(p), abs=1e-14)
+    total = 300 + 300 + 700 * 2
+    p = ProbMatrix.from_rows((rec.ones.sum(axis=0) / total).reshape(4, 5))
+    assert est.W == pytest.approx(witness(p), abs=1e-14)
     adj = adjugate(p)
     cells = p.p[:4]
-    var = float(
-        np.sum(cells * (1.0 - cells) * adj.T[:4] ** 2 / shots.reshape(4, 5))
+    var = float(np.sum(cells * (1.0 - cells) * adj.T[:4] ** 2 / total))
+    assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-12)
+
+
+def test_empty_cell_job_rejected(truth):
+    """A job whose cells report 0 shots is rejected, naming its first cell."""
+    good = record_to_dict(simulate_record(truth, ExperimentPlan(3, 100, 2, seed=4)))
+    good["jobs"].append(
+        {"job_id": "job-bad", "shots": 100, "repetitions": 2,
+         "counts": [[[0, 0]] * 20] * 2}
     )
-    assert est.W_stderr == pytest.approx(np.sqrt(var), rel=1e-12)
-
-
-def test_empty_cell_job_excluded_with_warning(truth):
-    good = simulate_record(truth, ExperimentPlan(3, 100, 2, seed=4))
-    zero_counts = np.zeros((2, 20, 2), dtype=np.int64)  # 0 shots everywhere
-    broken = JobRecord("job-bad", 100, 2, zero_counts)
-    rec = ExperimentRecord("I-second", "sim", good.jobs + (broken,))
-    with pytest.warns(UserWarning, match="job-bad"):
-        est = estimate_per_job(rec)
-    assert est.excluded == ("job-bad",)
-    assert len(est.per_job_W) == 3
-    with pytest.warns(UserWarning):
-        est2 = estimate_pooled(rec)
-    assert est2.excluded == ("job-bad",)
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(good)
+    assert err.value.field == "jobs[3].counts[0][0]"
 
 
 def test_all_jobs_empty_raises():
-    zero_counts = np.zeros((1, 20, 2), dtype=np.int64)
-    rec = ExperimentRecord(
-        "x", "sim", (JobRecord("a", 10, 1, zero_counts),)
-    )
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            estimate_per_job(rec)
+    doc = {
+        "config_id": "x", "device": "sim",
+        "jobs": [{"job_id": "a", "shots": 10, "repetitions": 1,
+                  "counts": [[[0, 0]] * 20]}],
+    }
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].counts[0][0]"
 
 
 # --- bias study ------------------------------------------------------------
@@ -274,10 +292,10 @@ def test_record_round_trip(tmp_path, truth, small_plan):
     assert back.config_id == rec.config_id
     assert back.device == rec.device
     assert back.timestamp is None
-    for x, y in zip(rec.jobs, back.jobs):
-        assert x.job_id == y.job_id
-        assert x.shots == y.shots
-        assert np.array_equal(x.counts, y.counts)
+    assert back.job_ids == rec.job_ids
+    assert np.array_equal(back.shots, rec.shots)
+    assert np.array_equal(back.reps, rec.reps)
+    assert np.array_equal(back.ones, rec.ones)
 
 
 def test_record_dict_structure(truth):
@@ -331,6 +349,24 @@ def test_schema_error_names_first_offender():
     assert err.value.field == "jobs[0].counts"
 
     doc = _valid_doc()
+    doc["jobs"][0]["counts"][0][4] = [True, 10]  # numpy would read it as 1
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].counts[0][4]"
+
+    doc = _valid_doc()
+    doc["jobs"][0]["counts"][0][9] = [5, 9]  # cell shots differ from the job's
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].counts[0][9]"
+
+    doc = _valid_doc()
+    doc["jobs"].append(dict(doc["jobs"][0]))  # same job_id twice
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[1].job_id"
+
+    doc = _valid_doc()
     doc["jobs"] = []
     with pytest.raises(RecordSchemaError) as err:
         record_from_dict(doc)
@@ -350,7 +386,127 @@ def test_load_record_bad_json(tmp_path):
 
 def test_timestamp_preserved(tmp_path, truth):
     rec = simulate_record(truth, ExperimentPlan(1, 20, 1, seed=0))
-    stamped = ExperimentRecord(rec.config_id, rec.device, rec.jobs, "2024-08-17T12:00:00Z")
+    stamped = dataclasses.replace(rec, timestamp="2024-08-17T12:00:00Z")
     path = tmp_path / "t.json"
     save_record(stamped, path)
     assert load_record(path).timestamp == "2024-08-17T12:00:00Z"
+
+
+# --- fuzzing the record parser ---------------------------------------------
+
+_TOP_FIELDS = {"$", "config_id", "device", "jobs", "timestamp"}
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+_json_values = _json_leaves | st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _locations(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _locations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _locations(value, path + (i,))
+
+
+@st.composite
+def _documents(draw):
+    """A record document, valid but for an optional repeated job id and an
+    optional count entry at or beyond its bounds, then up to two random
+    edits."""
+    jobs = []
+    for n in range(draw(st.integers(1, 3))):
+        shots, reps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        ones = draw(st.lists(st.integers(0, shots), min_size=20 * reps, max_size=20 * reps))
+        counts = [[[o, shots] for o in ones[20 * r : 20 * (r + 1)]] for r in range(reps)]
+        jobs.append({"job_id": f"j{n}", "shots": shots, "repetitions": reps, "counts": counts})
+    if len(jobs) > 1 and draw(st.integers(0, 3)) == 0:
+        jobs[-1]["job_id"] = "j0"
+    if draw(st.booleans()):  # one count entry at or beyond its bounds
+        job = draw(st.sampled_from(jobs))
+        cell = job["counts"][draw(st.integers(0, job["repetitions"] - 1))][draw(st.integers(0, 19))]
+        cell[draw(st.integers(0, 1))] = draw(st.booleans() | st.integers(-1, 4))
+    doc = {"config_id": "II-0", "device": "sim", "jobs": jobs}
+    if draw(st.booleans()):
+        doc["timestamp"] = "2024-08-17T12:00:00Z"
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        if not path:
+            doc = draw(_json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return doc
+
+
+def _is_int(x):
+    return type(x) is int
+
+
+def _doc_is_valid(doc) -> bool:
+    """The record schema stated in plain Python, as the fuzz test's oracle."""
+    if type(doc) is not dict:
+        return False
+    if type(doc.get("config_id")) is not str or type(doc.get("device")) is not str:
+        return False
+    if doc.get("timestamp") is not None and type(doc["timestamp"]) is not str:
+        return False
+    jobs = doc.get("jobs")
+    if type(jobs) is not list or not jobs:
+        return False
+    ids = []
+    for job in jobs:
+        if type(job) is not dict:
+            return False
+        shots, reps, counts = job.get("shots"), job.get("repetitions"), job.get("counts")
+        if type(job.get("job_id")) is not str or not (_is_int(shots) and _is_int(reps)):
+            return False
+        if not (1 <= shots < 2**63 and reps >= 1):
+            return False
+        if type(counts) is not list or len(counts) != reps:
+            return False
+        for rep in counts:
+            if type(rep) is not list or len(rep) != 20:
+                return False
+            for cell in rep:
+                if type(cell) is not list or len(cell) != 2 or not all(map(_is_int, cell)):
+                    return False
+                if cell[1] != shots or not 0 <= cell[0] <= shots:
+                    return False
+        ids.append(job["job_id"])
+    return len(set(ids)) == len(ids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_record_from_dict_accepts_exactly_the_valid_documents(doc):
+    """Every malformed document raises RecordSchemaError naming a field; every
+    valid one is accepted and written back unchanged."""
+    if _doc_is_valid(doc):
+        expected = dict(doc)
+        if expected.get("timestamp") is None:
+            expected.pop("timestamp", None)
+        back = record_to_dict(record_from_dict(doc))
+        assert json.dumps(back, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    else:
+        with pytest.raises(RecordSchemaError) as err:
+            record_from_dict(doc)
+        assert err.value.field.split(".")[0].split("[")[0] in _TOP_FIELDS

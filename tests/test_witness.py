@@ -15,7 +15,6 @@ from qubitcert.witness import (
     det_exact,
     witness,
     witness_variance,
-    z_score,
 )
 
 from conftest import random_config
@@ -183,11 +182,10 @@ def test_mixing_a_row_toward_constant_scales_witness(rng):
 def test_z_score_and_flags(rng):
     cfg = random_config(rng)
     p = predicted_prob_matrix(cfg)
-    res = z_score(p, 10_000)
-    assert isinstance(res, WitnessResult)
-    assert res.T == 10_000
+    res = WitnessResult(witness(p), float(np.sqrt(witness_variance(p, 10_000))))
     assert res.sigma > 0
     assert res.z == pytest.approx(res.W / res.sigma)
+    assert WitnessResult(1e-3, None).z is None
 
 
 def test_z_score_degenerate_sigma():
@@ -199,6 +197,7 @@ def test_z_score_degenerate_sigma():
             [0.0, 0.0, 1.0, 1.0, 0.0],
         ]
     )
-    res = z_score(ProbMatrix.from_rows(rows), 100)
+    p = ProbMatrix.from_rows(rows)
+    res = WitnessResult(witness(p), float(np.sqrt(witness_variance(p, 100))))
     assert res.sigma == 0.0
     assert res.z is None
