@@ -155,14 +155,16 @@ def cmd_audit_drift(args) -> int:
         if args.drift_mode == "both"
         else (args.drift_mode,)
     )
+    # Validate every mode's model before the header, so a usage error prints
+    # nothing to stdout.
+    models = [DriftModel(args.drift_eps, args.jobs, mode) for mode in modes]
     print(
         f"auditing {args.trials} ensembles of {args.jobs} jobs at "
         f"eps = {args.drift_eps:g} (bound 80*sqrt(2)*eps^2 = {bound:.6e})"
     )
     all_ok = True
     rows = ["mode,trials,max_abs_pooled_W,bound,fraction,pass"]
-    for mode in modes:
-        model = DriftModel(args.drift_eps, args.jobs, mode)
+    for mode, model in zip(modes, models):
         worst = 0.0
         for trial in range(args.trials):
             mats = generate_drift_ensemble(config, model, args.seed + trial)

@@ -12,6 +12,16 @@ handle the nonconvexity, and the best point is polished by a Nelder-Mead pass
 over an unconstrained chart (hyperspherical angles for unit vectors, a
 squashed-eigenvalue map for effects).
 
+All restarts ascend as one batch: stacked ``(R, 5, d)`` states,
+``(R, 4, d, d)`` effects and ``(R, 5, 5)`` probability matrices, with batched
+adjugates and eigendecompositions.  Restart r starts from its own generator, spawned as
+(seed, r).  A sweep updates only the restarts still active; a restart freezes
+once its sweep-to-sweep change in W falls below 1e-14 (converged) or at the
+sweep cap.  Every per-restart operation acts on one slice at a time, so a
+restart ends at the same bits whatever the batch size.  The winner is the
+first restart, in index order, to beat the best so far by more than 1e-15, so
+ties go to the lowest index; only the winner is polished.
+
 Known targets reproduced by the search: 0 in d=2 (identically), 27*sqrt(2)/64
 in d=3 over the reals, about 0.6319 in d=3 over the complex field, and
 2^12/3^7 in d=4 (both fields; the maximizer needs a rank-2 projector, which is
@@ -113,10 +123,17 @@ class StrategyPoint:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Best point of a search, plus its restart landscape when the search
+    recorded one: per restart, the final see-saw W, the sweeps it ran and
+    whether it converged (arrays in restart order)."""
+
     best_W: float
     best_point: StrategyPoint
     restarts: int
     converged: bool
+    restart_W: np.ndarray | None = None
+    restart_sweeps: np.ndarray | None = None
+    restart_converged: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if abs(self.best_W) > 3.0 + 1e-9:
@@ -192,43 +209,71 @@ def _random_point(problem: ExtremalProblem, rng) -> tuple[np.ndarray, np.ndarray
 
 
 def _rows_from(psi: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    return np.einsum("jd,kde,je->kj", psi.conj(), effects, psi).real
+    """p[..., k, j] = <psi_j| M_k |psi_j> over stacked states and effects."""
+    return np.einsum("...jd,...kde,...je->...kj", psi.conj(), effects, psi).real
 
 
-def _seesaw(problem: ExtremalProblem, rng, sweeps: int, tol: float):
-    """One restart of the alternating closed-form ascent; returns
-    (psi, effects, W, converged)."""
-    psi, effects = _random_point(problem, rng)
-    p = np.vstack([_rows_from(psi, effects), np.ones(5)])
-    w = float(np.linalg.det(p))
-    converged = False
+def _herm(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _seesaw(
+    problem: ExtremalProblem, seed: int, restarts: int, sweeps: int, tol: float
+):
+    """All restarts of the alternating closed-form ascent, run as one batch.
+
+    Restart r starts from its own generator, spawned as (seed, r).  Each sweep
+    updates only the restarts still active; a restart freezes once its
+    sweep-to-sweep change falls below ``tol`` (converged) or at the sweep cap.
+    Returns the stacked (psi, effects) and, per restart, the final W, the
+    number of sweeps run and the converged flag.
+    """
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        for r in range(restarts)
+    ]
+    starts = [_random_point(problem, rng) for rng in rngs]
+    psi = np.stack([s[0] for s in starts])  # (R, 5, d)
+    effects = np.stack([s[1] for s in starts])  # (R, 4, d, d)
+    d = problem.d
+    p = np.ones((restarts, 5, 5))
+    p[:, :4] = _rows_from(psi, effects)
+    w = np.linalg.det(p)
+    n_sweeps = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
     for _ in range(sweeps):
-        w_start = w
-        for k in range(4):
-            cof = adjugate(p).T  # C[k, j] = d det / d p[k, j]
-            # G = sum_j C_kj |psi_j><psi_j| so that tr(M G) = sum_j C_kj p_kj.
-            g = np.einsum("j,jd,je->de", cof[k], psi, psi.conj())
-            g = 0.5 * (g + g.conj().T)
-            lam, v = np.linalg.eigh(g)
-            keep = v[:, lam > 0.0]
-            effects[k] = keep @ keep.conj().T
-            p[k] = _rows_from(psi, effects[k : k + 1])[0]
-        for j in range(5):
-            cof = adjugate(p).T
-            h = np.einsum("k,kde->de", cof[:4, j], effects)
-            h = 0.5 * (h + h.conj().T)
-            lam, v = np.linalg.eigh(h)
-            psi[j] = v[:, -1]
-            p[:4, j] = _rows_from(psi[j : j + 1], effects)[:, 0]
-        w = float(np.linalg.det(p))
-        if abs(w - w_start) < tol:
-            converged = True
+        if active.size == 0:
             break
-    if problem.field == "real":
-        psi = psi.real + 0j
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        effects = effects.real + 0j
-    return psi, effects, w, converged
+        ps, ef, pp = psi[active], effects[active], p[active]
+        for k in range(4):
+            adj = adjugate(pp)  # adj[:, j, k] = d det / d p[:, k, j]
+            # G = sum_j C_kj |psi_j><psi_j| so that tr(M G) = sum_j C_kj p_kj.
+            g = _herm(np.einsum("rj,rjd,rje->rde", adj[:, :, k], ps, ps.conj()))
+            lam, v = np.linalg.eigh(g)
+            # Project onto the positive eigenspace, the last `rank` columns of
+            # v.  Multiplying only those columns, grouped by rank, rounds
+            # exactly as a one-restart update would; a product over all d
+            # columns with the rest zeroed does not, in complex arithmetic.
+            rank = np.count_nonzero(lam > 0.0, axis=1)
+            for m in np.unique(rank):
+                sel = rank == m
+                keep = v[sel, :, d - m :]
+                ef[sel, k] = keep @ keep.conj().swapaxes(1, 2)
+            pp[:, k] = _rows_from(ps, ef[:, k : k + 1])[:, 0]
+        for j in range(5):
+            adj = adjugate(pp)
+            h = _herm(np.einsum("rk,rkde->rde", adj[:, j, :4], ef))
+            lam, v = np.linalg.eigh(h)
+            ps[:, j] = v[:, :, -1]
+            pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]
+        w_new = np.linalg.det(pp)
+        done = np.abs(w_new - w[active]) < tol
+        psi[active], effects[active], p[active], w[active] = ps, ef, pp, w_new
+        n_sweeps[active] += 1
+        converged[active[done]] = True
+        active = active[~done]
+    return psi, effects, w, n_sweeps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +392,41 @@ def maximize_witness(
     restart over the unconstrained chart.
 
     Restarts draw independent starting points from generators spawned as
-    (seed, restart index), so the result does not depend on evaluation order;
-    ties break toward the lowest restart index.  ``converged`` reports whether
-    the winning restart's sweep-to-sweep improvement fell below 1e-14 within
-    the sweep budget.
+    (seed, restart index) and ascend as one batch, so each restart's result
+    does not depend on how many others run beside it; ties break toward the
+    lowest restart index.  ``converged`` reports whether the winning
+    restart's sweep-to-sweep improvement fell below 1e-14 within the sweep
+    budget.  The result also carries every restart's final W, sweep count and
+    converged flag.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        psi, effects, w, conv = _seesaw(problem, rng, sweeps, tol=1e-14)
-        if best is None or w > best[2] + 1e-15:
-            best = (psi, effects, w, conv)
-    psi, effects, w, conv = best
+    psis, effs, ws, n_sweeps, convs = _seesaw(problem, seed, restarts, sweeps, tol=1e-14)
+    win = 0
+    for r in range(1, restarts):
+        if ws[r] > ws[win] + 1e-15:
+            win = r
+    psi, effects, w, conv = psis[win], effs[win], float(ws[win]), convs[win]
+    if problem.field == "real":
+        psi = psi.real + 0j
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        effects = effects.real + 0j
     if polish_iters > 0:
         ps, ef, w_pol = _polish(psi, effects, problem, polish_iters)
         if w_pol > w:
             psi, effects, w = ps, ef, w_pol
     # Clean tiny numerical excursions before constructing the typed point.
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    effects = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
+    effects = _herm(effects)
     point = StrategyPoint(psi, effects)
     return SearchResult(
-        best_W=float(w), best_point=point, restarts=restarts, converged=bool(conv)
+        best_W=float(w),
+        best_point=point,
+        restarts=restarts,
+        converged=bool(conv),
+        restart_W=ws,
+        restart_sweeps=n_sweeps,
+        restart_converged=convs,
     )
 
 
@@ -499,7 +555,14 @@ def search_result_to_dict(result: SearchResult, problem: ExtremalProblem) -> dic
         ],
         "prob_matrix": prob.p.tolist(),
         "config": None,
+        "landscape": None,
     }
+    if result.restart_W is not None:
+        out["landscape"] = {
+            "W": result.restart_W.tolist(),
+            "sweeps": result.restart_sweeps.tolist(),
+            "converged": result.restart_converged.tolist(),
+        }
     if config is not None:
         from .configs import config_to_dict
 

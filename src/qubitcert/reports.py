@@ -34,13 +34,15 @@ Z_FLAG = 5.0
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything cmd-analyze prints, in structured form: both estimates and
-    the per-job witnesses behind ``per_job``, in job order."""
+    """Everything cmd-analyze prints, in structured form: both estimates, the
+    per-job witnesses behind ``per_job`` and the counts behind each cell of
+    each job (shots x reps), both in job order."""
 
     config_id: str
     per_job: WitnessResult
     pooled: WitnessResult
     per_job_W: np.ndarray
+    per_job_T: np.ndarray
 
 
 def analyze_record(record: ExperimentRecord) -> AnalysisReport:
@@ -51,6 +53,7 @@ def analyze_record(record: ExperimentRecord) -> AnalysisReport:
         per_job=per_job,
         pooled=estimate_pooled(record),
         per_job_W=per_job_W,
+        per_job_T=record.shots * record.reps,
     )
 
 
@@ -101,17 +104,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
     """Per-job scatter with error bars and both method lines.
 
-    Per-point error bars use the formula sigma scaled to one job's counts
-    (sqrt(n_jobs) times the pooled sigma, exact for equal-size jobs).
+    Job j's error bar is the pooled formula sigma scaled to that job's
+    counts: ``sigma * sqrt(T / T_j)``, with ``T_j`` = shots x reps of job j
+    and ``T`` their sum (``sqrt(n_jobs) * sigma`` when all jobs are equal).
     """
     width, height = 640, 400
     ml, mr, mt, mb = 70, 20, 20, 45
     pw, ph = width - ml - mr, height - mt - mb
     ys = report.per_job_W.tolist()
     n = len(ys)
-    bar = report.pooled.sigma * math.sqrt(n)
-    lo = min(min(y - bar for y in ys), 0.0)
-    hi = max(max(y + bar for y in ys), 0.0)
+    total = int(report.per_job_T.sum())
+    bars = [report.pooled.sigma * math.sqrt(total / t) for t in report.per_job_T.tolist()]
+    lo = min(min(y - bar for y, bar in zip(ys, bars)), 0.0)
+    hi = max(max(y + bar for y, bar in zip(ys, bars)), 0.0)
     pad = 0.08 * (hi - lo or 1.0)
     lo, hi = lo - pad, hi + pad
     x0, x1 = 0, max(n - 1, 1)
@@ -164,7 +169,7 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
         'stroke="steelblue" stroke-dasharray="7 3"/>'
     )
     # scatter with error bars
-    for idx, w in enumerate(ys):
+    for idx, (w, bar) in enumerate(zip(ys, bars)):
         x = px(idx)
         if bar > 0.0:
             e.append(

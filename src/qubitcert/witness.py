@@ -98,22 +98,25 @@ def witness(p: ProbMatrix | np.ndarray) -> float:
     return float(np.linalg.det(_mat(p)))
 
 
-def adjugate(p: ProbMatrix | np.ndarray) -> np.ndarray:
-    """Adjugate of a 5x5 matrix: (Adj p)_{jk} = (-1)^{j+k} minor_{kj}.
+_IDX = np.array([[i for i in range(5) if i != k] for k in range(5)])
+# a[..., _ROWS, _COLS][..., j, k, :, :] is a with row k and column j removed.
+_ROWS = _IDX[None, :, :, None]
+_COLS = _IDX[:, None, None, :]
+_SIGNS = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
 
-    Computed from the 25 signed 4x4 minors in one batched determinant call;
-    no division, so it is well defined for singular matrices and satisfies
-    ``p @ Adj p = det(p) * I`` identically.
+
+def adjugate(p: ProbMatrix | np.ndarray) -> np.ndarray:
+    """Adjugate of a 5x5 matrix, or of each matrix in a ``(..., 5, 5)`` stack:
+    (Adj p)_{jk} = (-1)^{j+k} minor_{kj}.
+
+    The 25 4x4 minors are gathered with one precomputed index and reduced by
+    one batched determinant call; no division, so it is well defined for
+    singular matrices and satisfies ``p @ Adj p = det(p) * I`` identically.
     """
-    a = _mat(p)
-    idx = [[i for i in range(5) if i != k] for k in range(5)]
-    subs = np.empty((5, 5, 4, 4))
-    for j in range(5):
-        for k in range(5):
-            subs[j, k] = a[np.ix_(idx[k], idx[j])]
-    minors = np.linalg.det(subs.reshape(25, 4, 4)).reshape(5, 5)
-    signs = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
-    return signs * minors
+    a = p.p if isinstance(p, ProbMatrix) else np.asarray(p, dtype=float)
+    if a.shape[-2:] != (5, 5):
+        raise ValueError(f"expected a (..., 5, 5) array, got shape {a.shape}")
+    return _SIGNS * np.linalg.det(a[..., _ROWS, _COLS])
 
 
 def witness_variance(p: ProbMatrix | np.ndarray, T: int) -> float:

@@ -278,6 +278,17 @@ def test_audit_drift_rejects_no_trials(capsys, trials):
     assert "PASS" not in stdout
 
 
+@pytest.mark.parametrize("mode", ["both", "column-mix"])
+def test_audit_drift_rejects_no_jobs_before_any_output(capsys, mode):
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.01",
+        "--jobs", "0", "--drift-mode", mode,
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "n_jobs" in stderr
+
+
 def test_audit_drift_violated_bound_exits_1(tmp_path, capsys, monkeypatch):
     # the bound is a theorem, so shrink it to make the audit fail
     monkeypatch.setattr(cli, "drift_bound", lambda eps: 1e-9)

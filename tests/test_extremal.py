@@ -9,6 +9,7 @@ import pytest
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
+    _random_point,
     ExtremalProblem,
     InconsistencyError,
     SearchResult,
@@ -22,7 +23,7 @@ from qubitcert.extremal import (
     strategy_from_config,
     strategy_prob_matrix,
 )
-from qubitcert.witness import ProbMatrix, det_exact, witness
+from qubitcert.witness import ProbMatrix, adjugate, det_exact, witness
 
 from conftest import random_config
 
@@ -172,6 +173,70 @@ def test_search_point_reproduces_reported_witness():
     assert w == pytest.approx(res.best_W, abs=1e-9)
 
 
+def _one_restart_reference(problem, seed, r, sweeps=500, tol=1e-14):
+    """The see-saw run one restart at a time: (final W, sweeps, converged)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+    psi, effects = _random_point(problem, rng)
+
+    def rows(ps, ef):
+        return np.einsum("jd,kde,je->kj", ps.conj(), ef, ps).real
+
+    p = np.vstack([rows(psi, effects), np.ones(5)])
+    w = float(np.linalg.det(p))
+    for n in range(1, sweeps + 1):
+        w_start = w
+        for k in range(4):
+            cof = adjugate(p).T
+            g = np.einsum("j,jd,je->de", cof[k], psi, psi.conj())
+            lam, v = np.linalg.eigh(0.5 * (g + g.conj().T))
+            keep = v[:, lam > 0.0]
+            effects[k] = keep @ keep.conj().T
+            p[k] = rows(psi, effects[k : k + 1])[0]
+        for j in range(5):
+            cof = adjugate(p).T
+            h = np.einsum("k,kde->de", cof[:4, j], effects)
+            lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+            psi[j] = v[:, -1]
+            p[:4, j] = rows(psi[j : j + 1], effects)[:, 0]
+        w = float(np.linalg.det(p))
+        if abs(w - w_start) < tol:
+            return w, n, True
+    return w, sweeps, False
+
+
+@pytest.mark.parametrize("problem", [ExtremalProblem(3, "complex"), ExtremalProblem(4, "real")])
+def test_batched_restarts_match_one_at_a_time(problem):
+    res = maximize_witness(problem, restarts=6, seed=7, polish_iters=0)
+    for r in range(6):
+        got = (res.restart_W[r], res.restart_sweeps[r], res.restart_converged[r])
+        assert got == _one_restart_reference(problem, 7, r), r
+
+
+def test_restart_results_do_not_depend_on_batch_size():
+    """Restart r ends at the same bits whether 12 or 40 restarts ascend
+    beside it; read from the exported landscape."""
+    problem = ExtremalProblem(3, field="complex")
+    few, many = (
+        search_result_to_dict(
+            maximize_witness(problem, restarts=n, seed=5, polish_iters=0), problem
+        )["landscape"]
+        for n in (12, 40)
+    )
+    assert len(few["W"]) == 12 and len(many["W"]) == 40
+    for key in ("W", "sweeps", "converged"):
+        assert few[key] == many[key][:12], key
+
+
+def test_landscape_describes_every_restart():
+    res = maximize_witness(ExtremalProblem(3, field="real"), restarts=6, seed=0, sweeps=40)
+    assert res.restart_W.shape == res.restart_sweeps.shape == (6,)
+    assert res.restart_converged.dtype == bool
+    assert np.all((res.restart_sweeps >= 1) & (res.restart_sweeps <= 40))
+    # a restart that stopped short of the cap did so because it converged
+    assert np.all(res.restart_converged | (res.restart_sweeps == 40))
+    assert np.max(res.restart_W) <= res.best_W + 1e-12
+
+
 def test_restart_validation():
     with pytest.raises(ValueError):
         maximize_witness(ExtremalProblem(2), restarts=0)
@@ -213,6 +278,11 @@ def test_export_structure_and_consistency(tmp_path):
     assert len(d["preparations"]) == 5 and len(d["preparations"][0]) == 3
     assert len(d["effects"]) == 4
     assert d["config"] is None  # no qubit realization of a d=3 extremum
+    assert d["landscape"] == {
+        "W": res.restart_W.tolist(),
+        "sweeps": res.restart_sweeps.tolist(),
+        "converged": res.restart_converged.tolist(),
+    }
     # stored matrix must be the matrix of the stored point
     psi = np.array([[re + 1j * im for re, im in row] for row in d["preparations"]])
     eff = np.array(
@@ -239,6 +309,7 @@ def test_qubit_export_round_trips_through_config():
     )
     d = search_result_to_dict(res, ExtremalProblem(2))
     assert d["config"] is not None
+    assert d["landscape"] is None  # built by hand, not by a search
     from qubitcert.configs import config_from_dict
 
     back = config_from_dict(d["config"])

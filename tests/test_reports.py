@@ -1,7 +1,10 @@
 """Report assembly, text rendering, and deterministic CSV/SVG output."""
 
 import dataclasses
+import math
+import re
 
+import numpy as np
 import pytest
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
@@ -15,6 +18,7 @@ from qubitcert.reports import (
 )
 from qubitcert.sampling import (
     ExperimentPlan,
+    ExperimentRecord,
     RecordSchemaError,
     record_from_dict,
     record_to_dict,
@@ -107,3 +111,39 @@ def test_svg_deterministic_and_well_formed(tmp_path, record):
     import xml.etree.ElementTree as ET
 
     ET.fromstring(svg)  # parses as XML
+
+
+def _bar_lengths(svg: str) -> list[float]:
+    """Pixel length of every per-job error bar, in job order."""
+    bars = re.findall(
+        r'<line x1="[^"]+" y1="([^"]+)" x2="[^"]+" y2="([^"]+)" stroke="firebrick" '
+        r'stroke-width="0.8"/>',
+        svg,
+    )
+    return [float(y1) - float(y2) for y1, y2 in bars]
+
+
+def test_svg_error_bars_scale_with_each_jobs_counts(tmp_path):
+    """Jobs of 200 and 3000 counts per cell get bars sqrt(15) apart; each is
+    the pooled sigma scaled to its own job's counts."""
+    truth = predicted_prob_matrix(builtin_config("II-0"))
+    rng = np.random.default_rng(4)
+    shots, reps = np.array([100, 1000, 200]), np.array([2, 3, 1])
+    ones = rng.binomial(np.repeat(shots, reps)[:, None], truth.p[:4].ravel())
+    rec = ExperimentRecord("II-0", "sim", ("a", "b", "c"), shots, reps, ones)
+    rep = analyze_record(rec)
+    assert rep.per_job_T.tolist() == [200, 3000, 200]
+    path = tmp_path / "mixed.svg"
+    write_scatter_svg(rep, path)
+    small, large, small_again = _bar_lengths(path.read_text())
+    assert small / large == pytest.approx(math.sqrt(15.0), rel=1e-3)
+    assert small_again == pytest.approx(small, abs=0.02)
+
+
+def test_svg_error_bars_of_equal_jobs_are_equal(tmp_path, record):
+    rep = analyze_record(record)
+    path = tmp_path / "equal.svg"
+    write_scatter_svg(rep, path)
+    lengths = _bar_lengths(path.read_text())
+    assert len(lengths) == 8
+    assert max(lengths) - min(lengths) <= 0.02

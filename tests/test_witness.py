@@ -104,6 +104,22 @@ def test_adjugate_identity(rng):
     assert np.allclose(p @ adjugate(p), np.linalg.det(p) * np.eye(5), atol=1e-10)
 
 
+def test_batched_adjugate_matches_per_matrix(rng):
+    stack = np.stack([ProbMatrix.from_rows(random_prob_rows(rng)).p for _ in range(7)])
+    batched = adjugate(stack)
+    assert batched.shape == (7, 5, 5)
+    for p, adj in zip(stack, batched):
+        assert np.array_equal(adj, adjugate(p))
+        assert np.allclose(p @ adj, np.linalg.det(p) * np.eye(5), rtol=0.0, atol=1e-12)
+    assert np.array_equal(adjugate(stack.reshape(7, 1, 5, 5))[:, 0], batched)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 5), (5, 4), (7, 5, 4), (25,)])
+def test_adjugate_rejects_non_5x5_shapes(shape):
+    with pytest.raises(ValueError, match="5, 5"):
+        adjugate(np.zeros(shape))
+
+
 def test_single_entry_perturbation_is_linear_in_adjugate(rng):
     """det(p + delta * E_jk) - det(p) = delta * Adj(p)_{kj} exactly."""
     rows = random_prob_rows(rng)
