@@ -11,7 +11,7 @@ known extremal values of W in higher dimensions by numerical search.
 
 __version__ = "0.1.0"
 
-from .bloch import BlochVector, Effect, GateAngle, meas_bloch, prep_bloch, prob
+from .bloch import BlochVector, Effect, meas_bloch, prep_bloch, prob
 from .configs import (
     BUILTIN_IDS,
     ConfigSet,
@@ -51,7 +51,6 @@ __all__ = [
     "__version__",
     "BlochVector",
     "Effect",
-    "GateAngle",
     "meas_bloch",
     "prep_bloch",
     "prob",

@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "TWO_PI",
-    "GateAngle",
     "BlochVector",
     "Effect",
     "reduce_angle",
@@ -70,19 +69,6 @@ def reduce_angle(gamma: float) -> float:
     return 0.0 if reduced == TWO_PI else reduced
 
 
-@dataclass(frozen=True)
-class GateAngle:
-    """Phase angle of a single phased sqrt(NOT) gate, stored reduced mod 2*pi."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", reduce_angle(self.gamma))
-
-    def __float__(self) -> float:
-        return self.gamma
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
@@ -104,11 +90,6 @@ class BlochVector:
         if np.linalg.norm(n) > 1.0 + _ATOL:
             raise ValueError(f"Bloch vector norm {np.linalg.norm(n)} exceeds 1")
         object.__setattr__(self, "n", _as_readonly(n))
-
-    @property
-    def purity_defect(self) -> float:
-        """1 - |n|; zero for pure states."""
-        return 1.0 - float(np.linalg.norm(self.n))
 
 
 @dataclass(frozen=True)
@@ -148,10 +129,9 @@ def _z_rotation(gamma: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def s_gate_bloch(gamma: float | GateAngle) -> np.ndarray:
+def s_gate_bloch(gamma: float) -> np.ndarray:
     """Bloch rotation matrix of the phased sqrt(NOT) with phase ``gamma``."""
-    g = float(gamma)
-    z = _z_rotation(g)
+    z = _z_rotation(gamma)
     return z.T @ _S_BLOCH @ z
 
 
@@ -184,15 +164,15 @@ def meas_bloch_vectors(theta, phi) -> np.ndarray:
     )
 
 
-def prep_bloch(alpha: float | GateAngle, beta: float | GateAngle) -> BlochVector:
+def prep_bloch(alpha: float, beta: float) -> BlochVector:
     """Pure state prepared by applying S_alpha then S_beta to ``|0>``."""
-    return BlochVector(prep_bloch_vectors(float(alpha), float(beta)))
+    return BlochVector(prep_bloch_vectors(alpha, beta))
 
 
-def meas_bloch(theta: float | GateAngle, phi: float | GateAngle) -> Effect:
+def meas_bloch(theta: float, phi: float) -> Effect:
     """Projective effect measured by applying S_theta then S_phi, then reading
     out the computational basis and reporting the ``|0>`` outcome."""
-    return Effect(1.0, meas_bloch_vectors(float(theta), float(phi)))
+    return Effect(1.0, meas_bloch_vectors(theta, phi))
 
 
 def prob(effect: Effect, state: BlochVector) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,27 +208,36 @@ def config_to_dict(config: ConfigSet) -> dict:
     }
 
 
+def _angle(value, field: str) -> float:
+    # bool is an int subclass, but true is not an angle; NaN fails the bound
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> ConfigSet:
+    """Parse a config document; a malformed one raises ValueError naming the
+    offending field, e.g. ``preparations[2][0]``."""
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
     for key in ("id", "preparations", "measurements"):
         if key not in data:
             raise ValueError(f"config file missing required key {key!r}")
+    if not isinstance(data["id"], str):
+        raise ValueError(f"id must be a string, got {data['id']!r}")
     pairs = {}
     for key, count in (("preparations", 5), ("measurements", 4)):
         raw = data[key]
         if not isinstance(raw, list) or len(raw) != count:
-            raise ValueError(f"{key!r} must be a list of {count} angle pairs")
+            raise ValueError(f"{key} must be a list of {count} angle pairs")
         out = []
-        for entry in raw:
+        for i, entry in enumerate(raw):
             if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError(f"each entry of {key!r} must be an [angle, angle] pair")
-            try:
-                out.append((float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric angle in {key!r}: {entry!r}") from None
+                raise ValueError(f"{key}[{i}] must be an [angle, angle] pair, got {entry!r}")
+            out.append((_angle(entry[0], f"{key}[{i}][0]"), _angle(entry[1], f"{key}[{i}][1]")))
         pairs[key] = tuple(out)
-    return ConfigSet(str(data["id"]), pairs["preparations"], pairs["measurements"])
+    return ConfigSet(data["id"], pairs["preparations"], pairs["measurements"])
 
 
 def save_config(config: ConfigSet, path: str | Path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
-from .witness import ProbMatrix
+from .witness import ProbMatrix, checked_probabilities
 
 __all__ = [
     "LeakageParams",
@@ -144,77 +144,99 @@ def drift_bound(epsilon: float) -> float:
     return 80.0 * _SQRT2 * epsilon * epsilon
 
 
-def _jitter_matrices(config: ConfigSet, eps: float, n_jobs: int, rng) -> np.ndarray:
-    """Measured rows of n_jobs matrices with independently jittered angles."""
-    delta = eps / _JITTER_LIPSCHITZ
+def _jitter_rows(config: ConfigSet, jit: np.ndarray) -> np.ndarray:
+    """Measured rows, shape (..., 4, 5), of the config with its 18 gate angles
+    shifted by ``jit`` (..., 18): five alphas, five betas, four thetas, four
+    phis."""
     pa, pb = np.array(config.preparations).T  # (5,), (5,)
     mt, mf = np.array(config.measurements).T  # (4,), (4,)
-    jit = rng.uniform(-delta, delta, size=(n_jobs, 18))
-    n = prep_bloch_vectors(
-        pa + jit[:, 0:5], pb + jit[:, 5:10]
-    )  # (n_jobs, 5, 3)
-    m = meas_bloch_vectors(mt + jit[:, 10:14], mf + jit[:, 14:18])
-    return 0.5 * (1.0 + np.einsum("jkc,jlc->jkl", m, n))  # (n_jobs, 4, 5)
+    n = prep_bloch_vectors(pa + jit[..., 0:5], pb + jit[..., 5:10])  # (..., 5, 3)
+    m = meas_bloch_vectors(mt + jit[..., 10:14], mf + jit[..., 14:18])
+    return 0.5 * (1.0 + np.einsum("...kc,...lc->...kl", m, n))
 
 
-def _affine_rebuild(cols: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least-squares affine combination of ``cols`` (4x4) closest to ``target``
-    with weights summing to one (small KKT system)."""
-    n = cols.shape[1]
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = 2.0 * cols.T @ cols
-    kkt[:n, n] = 1.0
-    kkt[n, :n] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[:n] = 2.0 * cols.T @ target
-    rhs[n] = 1.0
-    w = np.linalg.solve(kkt, rhs)[:n]
-    return cols @ w
+# _OTHERS[t] lists the four columns other than t
+_OTHERS = np.array([[j for j in range(5) if j != t] for t in range(5)])
 
 
-def _column_mix_pattern(p0: np.ndarray, eps: float, rng) -> np.ndarray:
-    """One adversarial witness-zero matrix within ``eps`` of reference rows
-    ``p0`` (4x5): perturb all cells, then rebuild one column as an affine
-    combination of the others.  Falls back to the reference when the budget
-    cannot be met."""
-    t = int(rng.integers(0, 5))
-    others = [j for j in range(5) if j != t]
-    e0 = rng.uniform(-eps, eps, size=(4, 5))
-    scale = 1.0
+def _column_mix_patterns(
+    p0: np.ndarray, eps: float, t: np.ndarray, e0: np.ndarray
+) -> np.ndarray:
+    """Adversarial witness-zero matrices within ``eps`` of reference rows
+    ``p0`` (4x5), one per drawn column ``t[i]`` and perturbation ``e0[i]``
+    (4x5): perturb all cells, then rebuild column ``t[i]`` as the affine
+    combination of the other four closest to the reference column (least
+    squares, weights summing to one).  The perturbation shrinks until the
+    rebuilt column stays within ``eps`` and in [0, 1], for at most eight tries;
+    a pattern that never gets there falls back to the reference."""
+    count = len(t)
+    out = np.broadcast_to(p0, (count, 4, 5)).copy()
+    target = p0.T[t]  # (count, 4): p0[:, t[i]]
+    scale = np.ones(count)
+    kkt = np.zeros((count, 5, 5))
+    kkt[:, :4, 4] = kkt[:, 4, :4] = 1.0
+    rhs = np.zeros((count, 5, 1))
+    rhs[:, 4] = 1.0
+    live = np.arange(count)
     for _ in range(8):
-        e = np.clip(scale * e0, -p0, 1.0 - p0)
-        q = p0 + e
-        rebuilt = _affine_rebuild(q[:, others], p0[:, t])
-        dev = float(np.max(np.abs(rebuilt - p0[:, t])))
-        if dev <= eps and rebuilt.min() >= 0.0 and rebuilt.max() <= 1.0:
-            q[:, t] = rebuilt
-            return q
-        scale *= min(0.9, eps / max(dev, 1e-300))
-    return p0.copy()
+        q = p0 + np.clip(scale[live, None, None] * e0[live], -p0, 1.0 - p0)
+        # cols[i] = q[i][:, others], laid out column-major as fancy indexing
+        # of a single matrix lays it out, so the BLAS calls below round alike
+        colsT = q.transpose(0, 2, 1)[np.arange(len(live))[:, None], _OTHERS[t[live]]]
+        cols = colsT.transpose(0, 2, 1)
+        kkt[live, :4, :4] = 2.0 * colsT @ cols
+        rhs[live, :4] = 2.0 * colsT @ target[live, :, None]
+        w = np.linalg.solve(kkt[live], rhs[live])[:, :4]
+        rebuilt = (cols @ w)[..., 0]
+        dev = np.max(np.abs(rebuilt - target[live]), axis=1)
+        ok = (dev <= eps) & (rebuilt.min(axis=1) >= 0.0) & (rebuilt.max(axis=1) <= 1.0)
+        done = np.flatnonzero(ok)
+        q[done, :, t[live[done]]] = rebuilt[done]
+        out[live[done]] = q[done]
+        live = live[~ok]
+        if not live.size:
+            break
+        scale[live] *= np.minimum(0.9, eps / np.maximum(dev[~ok], 1e-300))
+    return out
 
 
 def generate_drift_ensemble(
-    config: ConfigSet, model: DriftModel, seed: int
-) -> list[ProbMatrix]:
-    """Per-job matrices for one drifting run: each exactly witness-zero and
-    within ``model.epsilon`` of the config's predicted matrix entrywise.
+    config: ConfigSet, model: DriftModel, seed: int, trials: int = 1
+) -> np.ndarray:
+    """Per-job matrices of ``trials`` drifting runs, shape
+    ``(trials, model.n_jobs, 5, 5)``: each exactly witness-zero and within
+    ``model.epsilon`` of the config's predicted matrix entrywise.
 
-    Deterministic given (config, model, seed).  The column-mix mode alternates
-    between two drawn patterns so that pooling does not average the drift away.
+    Run ``t`` draws from ``default_rng(seed + t)`` alone, so it does not
+    depend on how many runs are generated with it.  The column-mix mode
+    alternates between two drawn patterns so that pooling does not average the
+    drift away.
     """
-    ref = predicted_prob_matrix(config)
-    if model.epsilon == 0.0:
-        return [ref] * model.n_jobs
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    ref = predicted_prob_matrix(config).p
+    eps, n_jobs = model.epsilon, model.n_jobs
+    if eps == 0.0:
+        return np.broadcast_to(ref, (trials, n_jobs, 5, 5)).copy()
+    rngs = (np.random.default_rng(seed + t) for t in range(trials))
     if model.perturbation_mode == "angle-jitter":
-        rows = _jitter_matrices(config, model.epsilon, model.n_jobs, rng)
-        return [ProbMatrix.from_rows(r) for r in rows]
-    pattern_a = _column_mix_pattern(ref.p[:4], model.epsilon, rng)
-    pattern_b = _column_mix_pattern(ref.p[:4], model.epsilon, rng)
-    out = []
-    for n in range(model.n_jobs):
-        out.append(ProbMatrix.from_rows(pattern_a if n % 2 == 0 else pattern_b))
-    return out
+        delta = eps / _JITTER_LIPSCHITZ
+        jit = np.stack([rng.uniform(-delta, delta, size=(n_jobs, 18)) for rng in rngs])
+        rows = _jitter_rows(config, jit)
+    else:
+        # per run: column and perturbation of pattern a, then of pattern b
+        draws = [
+            (int(rng.integers(0, 5)), rng.uniform(-eps, eps, size=(4, 5)))
+            for rng in rngs
+            for _ in range(2)
+        ]
+        t = np.array([d[0] for d in draws])
+        e0 = np.stack([d[1] for d in draws])
+        patterns = _column_mix_patterns(ref[:4], eps, t, e0).reshape(trials, 2, 4, 5)
+        rows = patterns[:, np.arange(n_jobs) % 2]
+    out = np.ones((trials, n_jobs, 5, 5))
+    out[..., :4, :] = rows
+    return checked_probabilities(out)
 
 
 # ---------------------------------------------------------------------------

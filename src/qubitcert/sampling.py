@@ -143,9 +143,9 @@ def simulate_record(
     if per_job_noise is not None:
         if config is None:
             raise ValueError("per_job_noise requires the generating config")
-        job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)
+        job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)[0]
     else:
-        job_ps = [true_p] * plan.n_jobs
+        job_ps = [true_p.p] * plan.n_jobs
     if config_id is None:
         config_id = config.id if config is not None else "custom"
 
@@ -154,7 +154,7 @@ def simulate_record(
         rng = np.random.default_rng(
             np.random.SeedSequence(plan.seed, spawn_key=(n,))
         )
-        cells = job_ps[n].p[:4].reshape(20)
+        cells = job_ps[n][:4].reshape(20)
         ones.append(rng.binomial(plan.shots, cells, size=(plan.repetitions, 20)))
     return ExperimentRecord(
         config_id,

@@ -21,7 +21,6 @@ with ``Adj`` the adjugate (transposed cofactor) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,10 +30,20 @@ __all__ = [
     "witness",
     "adjugate",
     "witness_variance",
-    "det_exact",
+    "checked_probabilities",
 ]
 
 _ATOL = 1e-12
+
+
+def checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """``p`` (any shape) clipped to [0, 1], after checking that every entry is
+    finite and lies in [0, 1] up to 1e-12 roundoff; ValueError otherwise."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probability matrix entries must be finite")
+    if np.any(p < -_ATOL) or np.any(p > 1.0 + _ATOL):
+        raise ValueError("probability matrix entries must lie in [0, 1]")
+    return np.clip(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -47,15 +56,11 @@ class ProbMatrix:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (5, 5):
             raise ValueError(f"probability matrix must be 5x5, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probability matrix entries must be finite")
-        if np.any(p < -_ATOL) or np.any(p > 1.0 + _ATOL):
-            raise ValueError("probability matrix entries must lie in [0, 1]")
+        clipped = checked_probabilities(p)
         if np.any(p[4] != 1.0):
             raise ValueError("fifth row must be identically 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        clipped.flags.writeable = False
+        object.__setattr__(self, "p", clipped)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "ProbMatrix":
@@ -130,25 +135,3 @@ def witness_variance(p: ProbMatrix | np.ndarray, T: int) -> float:
     a = _mat(p)
     adj = adjugate(a)
     return float(np.sum(a * (1.0 - a) * adj.T**2)) / T
-
-
-def det_exact(matrix) -> Fraction:
-    """Exact determinant over the rationals by cofactor expansion.
-
-    Accepts any square nested sequence of ints/Fractions.  Quadratic-ish in
-    cost but only used on 4x4/5x5 matrices as an arithmetic-error-free oracle.
-    """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j, x in enumerate(m[0]):
-        if x == 0:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = x * det_exact(sub)
-        total += term if j % 2 == 0 else -term
-    return total

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qubitcert.configs import ConfigSet
 
@@ -20,3 +21,51 @@ def random_config(rng: np.random.Generator) -> ConfigSet:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# --- JSON document fuzzing ---------------------------------------------------
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+#: arbitrary JSON values, NaN aside
+json_values = _json_leaves | st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _locations(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _locations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _locations(value, path + (i,))
+
+
+@st.composite
+def json_edits(draw, doc, values):
+    """``doc`` after up to two random edits, each deleting one node or
+    replacing it (the whole document too) with a draw from ``values``."""
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        if not path:
+            doc = draw(values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(values)
+    return doc

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import qubitcert.cli as cli
 from qubitcert.configs import (
     BUILTIN_IDS,
     builtin_config,
@@ -24,12 +25,10 @@ from qubitcert.extremal import (
 )
 from qubitcert.noise import (
     CoherentLeakParams,
-    DriftModel,
     LeakageParams,
     apply_common_leakage,
     coherent_leak_prob_matrix,
     drift_bound,
-    generate_drift_ensemble,
 )
 from qubitcert.sampling import (
     ExperimentPlan,
@@ -138,22 +137,30 @@ def test_criterion_5_leakage_invariance_and_scaling():
     )
 
 
-def test_criterion_6_drift_bound_never_violated():
-    """10^4 drift ensembles per (epsilon, mode): pooled |W| <= 80*sqrt(2)*eps^2."""
+def test_criterion_6_drift_bound_never_violated(tmp_path):
+    """10^4 drift ensembles per (epsilon, mode), audited by ``audit-drift``:
+    pooled |W| <= 80*sqrt(2)*eps^2, strictly, in every one of them."""
     t0 = time.perf_counter()
-    cfg = builtin_config("II-0")
     ok = True
     closest = 0.0
-    for eps in (0.005, 0.01, 0.02, 0.05):
-        bound = drift_bound(eps)
-        for mode in ("angle-jitter", "column-mix"):
-            model = DriftModel(eps, 10, mode)
-            worst = 0.0
-            for trial in range(10_000):
-                mats = generate_drift_ensemble(cfg, model, trial)
-                pooled = np.mean([m.p for m in mats], axis=0)
-                worst = max(worst, abs(float(np.linalg.det(pooled))))
-            ok &= worst <= bound
+    for eps in ("0.005", "0.01", "0.02", "0.05"):
+        csv = tmp_path / f"audit-{eps}.csv"
+        code = cli.main(
+            [
+                "audit-drift", "--config", "II-0", "--drift-eps", eps,
+                "--trials", "10000", "--jobs", "10", "--drift-mode", "both",
+                "--seed", "0", "--out", str(csv),
+            ]
+        )
+        ok &= code == cli.EXIT_OK
+        rows = csv.read_text().splitlines()[1:]
+        ok &= [row.split(",")[:2] for row in rows] == [
+            ["angle-jitter", "10000"],
+            ["column-mix", "10000"],
+        ]
+        for row in rows:
+            worst, bound = (float(x) for x in row.split(",")[2:4])
+            ok &= bound == drift_bound(float(eps)) and worst <= bound
             closest = max(closest, worst / bound)
     t = time.perf_counter() - t0
     _report(

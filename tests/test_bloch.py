@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from qubitcert.bloch import (
     BlochVector,
     Effect,
-    GateAngle,
     meas_bloch,
     meas_bloch_vectors,
     prep_bloch,
@@ -137,9 +136,9 @@ def test_reduce_angle():
 
 
 @given(angles)
-def test_gate_angle_reduction_preserves_gate(gamma):
-    g = GateAngle(gamma)
-    assert 0.0 <= g.gamma < 2 * np.pi
+def test_angle_reduction_preserves_gate(gamma):
+    g = reduce_angle(gamma)
+    assert 0.0 <= g < 2 * np.pi
     assert np.allclose(s_gate_bloch(g), s_gate_bloch(gamma), atol=1e-11)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qubitcert.cli as cli
+import qubitcert.sampling as sampling
 from qubitcert.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_IO,
@@ -15,8 +16,11 @@ from qubitcert.cli import (
     main,
 )
 from qubitcert.configs import builtin_config, load_config, predicted_prob_matrix
+from qubitcert.noise import DriftModel, drift_bound
 from qubitcert.sampling import load_record
 from qubitcert.witness import witness
+
+from drift_reference import reference_ensemble, reference_worst
 
 
 def run(capsys, *argv):
@@ -117,6 +121,25 @@ def test_simulate_drift_excludes_other_noise(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "drift" in stderr
+
+
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, monkeypatch, mode):
+    argv = [
+        "simulate", "--config", "II-0", "--jobs", "7", "--shots", "300", "--reps", "2",
+        "--drift-eps", "0.02", "--drift-mode", mode, "--seed", "5", "--out",
+    ]
+    code, _, _ = run(capsys, *argv, str(tmp_path / "batched.json"))
+    assert code == EXIT_OK
+    monkeypatch.setattr(
+        sampling,
+        "generate_drift_ensemble",
+        lambda config, model, seed: reference_ensemble(config, model, seed)[None],
+    )
+    code, _, _ = run(capsys, *argv, str(tmp_path / "reference.json"))
+    assert code == EXIT_OK
+    batched = (tmp_path / "batched.json").read_bytes()
+    assert batched == (tmp_path / "reference.json").read_bytes()
 
 
 def test_simulate_bad_leak_params(tmp_path, capsys):
@@ -236,6 +259,24 @@ def test_audit_drift_both_modes(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("angle-jitter,20,")
     assert lines[2].startswith("column-mix,20,")
+
+
+def test_audit_drift_csv_matches_per_trial_reference_across_blocks(tmp_path, capsys):
+    """A --trials count one block and three trials long: the CSV is byte for
+    byte what the one-trial-at-a-time loop gives."""
+    trials = cli.AUDIT_BLOCK_MEMBERS // 10 + 3
+    csv = tmp_path / "audit.csv"
+    code, _, _ = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.05",
+        "--trials", str(trials), "--jobs", "10", "--seed", "11", "--out", str(csv),
+    )
+    assert code == EXIT_OK
+    cfg, bound = builtin_config("II-0"), drift_bound(0.05)
+    rows = ["mode,trials,max_abs_pooled_W,bound,fraction,pass"]
+    for mode in ("angle-jitter", "column-mix"):
+        worst = reference_worst(cfg, DriftModel(0.05, 10, mode), 11, trials)
+        rows.append(f"{mode},{trials},{worst!r},{bound!r},{worst / bound!r},True")
+    assert csv.read_text() == "\n".join(rows) + "\n"
 
 
 def test_gen_config_canonical_round_trip(tmp_path, capsys):

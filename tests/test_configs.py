@@ -2,9 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitcert.configs import (
     BUILTIN_IDS,
@@ -20,6 +23,8 @@ from qubitcert.configs import (
     save_config,
 )
 from qubitcert.witness import witness
+
+from conftest import json_edits, json_values
 
 SQ2, SQ3, SQ6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
@@ -200,9 +205,10 @@ def test_from_dict_error_paths(tmp_path):
     with pytest.raises(ValueError, match="preparations"):
         config_from_dict(bad)
 
-    loose = dict(good)
-    loose["id"] = 7  # non-string ids are coerced, not rejected
-    assert config_from_dict(loose).id == "7"
+    bad = dict(good)
+    bad["id"] = 7
+    with pytest.raises(ValueError, match="^id must be a string"):
+        config_from_dict(bad)
 
     bad = dict(good)
     bad["preparations"] = [p[:1] for p in good["preparations"]]
@@ -213,3 +219,77 @@ def test_from_dict_error_paths(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ValueError):
         load_config(p)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1.5", True, False, None, [0.5], float("nan"), float("inf"), 10**400],
+    ids=["string", "true", "false", "null", "list", "nan", "inf", "huge-int"],
+)
+def test_from_dict_rejects_non_angles_naming_the_field(value):
+    doc = config_to_dict(builtin_config("II-0"))
+    doc["preparations"][2][0] = value
+    with pytest.raises(ValueError, match=r"^preparations\[2\]\[0\] must be"):
+        config_from_dict(doc)
+    doc = config_to_dict(builtin_config("II-0"))
+    doc["measurements"][3][1] = value
+    with pytest.raises(ValueError, match=r"^measurements\[3\]\[1\] must be"):
+        config_from_dict(doc)
+
+
+def test_from_dict_accepts_integer_angles():
+    doc = config_to_dict(builtin_config("I-prime"))
+    doc["preparations"][0] = [0, 0]
+    assert config_from_dict(doc) == builtin_config("I-prime")
+
+
+def _is_angle(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _config_doc_is_valid(doc) -> bool:
+    """The config schema stated in plain Python, as the fuzz test's oracle."""
+    if type(doc) is not dict or type(doc.get("id")) is not str:
+        return False
+    for key, count in (("preparations", 5), ("measurements", 4)):
+        pairs = doc.get(key)
+        if type(pairs) is not list or len(pairs) != count:
+            return False
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2 or not all(map(_is_angle, pair)):
+                return False
+    return True
+
+
+# what a rejection names: the document, a missing key, or the offending field
+_FIELD_ERROR = (
+    r"^(config file must contain a JSON object"
+    r"|config file missing required key '(id|preparations|measurements)'"
+    r"|id must be a string"
+    r"|(preparations|measurements)(\[\d\]){0,2} must be )"
+)
+
+
+@st.composite
+def _config_documents(draw):
+    doc = config_to_dict(builtin_config(draw(st.sampled_from(BUILTIN_IDS))))
+    values = json_values | st.just(math.nan) | st.just(10**400) | st.just("1.5")
+    return draw(json_edits(doc, values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_documents())
+def test_config_from_dict_accepts_exactly_the_valid_documents(doc):
+    """Every malformed document raises ValueError naming a field; a valid one
+    is parsed to its angles, unless two preparations coincide."""
+    if _config_doc_is_valid(doc):
+        try:
+            cfg = config_from_dict(doc)
+        except ValueError as exc:
+            assert "coinciding Bloch vectors" in str(exc)
+            return
+        preps, meas = (tuple(map(tuple, doc[k])) for k in ("preparations", "measurements"))
+        assert cfg == ConfigSet(doc["id"], preps, meas)
+    else:
+        with pytest.raises(ValueError, match=_FIELD_ERROR):
+            config_from_dict(doc)

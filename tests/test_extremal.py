@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
@@ -23,7 +24,7 @@ from qubitcert.extremal import (
     strategy_from_config,
     strategy_prob_matrix,
 )
-from qubitcert.witness import ProbMatrix, adjugate, det_exact, witness
+from qubitcert.witness import ProbMatrix, adjugate, witness
 
 from conftest import random_config
 
@@ -116,8 +117,8 @@ def test_classical_maximum_detail():
     assert example.shape == (5, 5)
     assert np.array_equal(example[4], np.ones(5, dtype=np.int64))
     assert set(np.unique(example[:4])) <= {0, 1}
-    exact = det_exact([[int(v) for v in row] for row in example])
-    assert abs(int(exact)) == 3
+    exact = sympy.Matrix(example.tolist()).det()
+    assert abs(exact) == 3
 
 
 def test_classical_max_is_exact_int():

@@ -20,6 +20,7 @@ from qubitcert.noise import (
 from qubitcert.witness import ProbMatrix, witness
 
 from conftest import random_config
+from drift_reference import reference_ensemble, reference_worst
 
 
 # --- incoherent leakage ----------------------------------------------------
@@ -120,10 +121,10 @@ def test_drift_bound_formula():
 def test_zero_epsilon_reproduces_reference():
     cfg = builtin_config("I-second")
     ref = predicted_prob_matrix(cfg)
-    ens = generate_drift_ensemble(cfg, DriftModel(0.0, 7), seed=3)
-    assert len(ens) == 7
-    for p in ens:
-        assert np.array_equal(p.p, ref.p)
+    ens = generate_drift_ensemble(cfg, DriftModel(0.0, 7), seed=3, trials=2)
+    assert ens.shape == (2, 7, 5, 5)
+    for p in ens.reshape(-1, 5, 5):
+        assert np.array_equal(p, ref.p)
 
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
@@ -132,11 +133,12 @@ def test_drift_members_are_witness_zero_and_within_budget(mode, cid):
     cfg = builtin_config(cid)
     ref = predicted_prob_matrix(cfg)
     eps = 0.02
-    ens = generate_drift_ensemble(cfg, DriftModel(eps, 12, mode), seed=42)
-    assert len(ens) == 12
-    for p in ens:
+    ens = generate_drift_ensemble(cfg, DriftModel(eps, 12, mode), seed=42, trials=3)
+    assert ens.shape == (3, 12, 5, 5)
+    for p in ens.reshape(-1, 5, 5):
         assert abs(witness(p)) < 1e-10
-        assert np.max(np.abs(p.p - ref.p)) <= eps + 1e-12
+        assert np.max(np.abs(p - ref.p)) <= eps + 1e-12
+        assert np.all(p[4] == 1.0) and np.all((0.0 <= p) & (p <= 1.0))
 
 
 def test_drift_is_deterministic():
@@ -144,10 +146,44 @@ def test_drift_is_deterministic():
     m = DriftModel(0.01, 6, "column-mix")
     a = generate_drift_ensemble(cfg, m, seed=9)
     b = generate_drift_ensemble(cfg, m, seed=9)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.p, y.p)
+    assert np.array_equal(a, b)
     c = generate_drift_ensemble(cfg, m, seed=10)
-    assert any(not np.array_equal(x.p, y.p) for x, y in zip(a, c))
+    assert any(not np.array_equal(x, y) for x, y in zip(a[0], c[0]))
+
+
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+def test_drift_trial_depends_only_on_its_own_seed(mode):
+    """Trial t of a batch is the one-trial ensemble of seed + t."""
+    cfg = builtin_config("II-0")
+    m = DriftModel(0.05, 5, mode)
+    batch = generate_drift_ensemble(cfg, m, seed=100, trials=6)
+    for t in range(6):
+        alone = generate_drift_ensemble(cfg, m, seed=100 + t)
+        assert batch[t].tobytes() == alone[0].tobytes()
+
+
+def test_drift_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        generate_drift_ensemble(builtin_config("II-0"), DriftModel(0.01, 3), 0, trials=0)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 7, 10])
+@pytest.mark.parametrize("eps", [0.0, 0.005, 0.05, 0.2])
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+@pytest.mark.parametrize("cid", ["II-0", "I-prime"])
+def test_batched_drift_matches_per_trial_loop(cid, mode, eps, n_jobs):
+    """Every ensemble, and the worst pooled |W|, bit for bit as the one-trial
+    loop makes them (I-prime's exact 0s and 1s drive column-mix into its
+    shrink-and-fall-back path)."""
+    cfg = builtin_config(cid)
+    model = DriftModel(eps, n_jobs, mode)
+    seed, trials = 7, 40
+    batch = generate_drift_ensemble(cfg, model, seed, trials)
+    assert batch.shape == (trials, n_jobs, 5, 5)
+    for t in range(trials):
+        assert batch[t].tobytes() == reference_ensemble(cfg, model, seed + t).tobytes()
+    worst = float(np.abs(np.linalg.det(batch.mean(axis=1))).max())
+    assert worst == reference_worst(cfg, model, seed, trials)
 
 
 def test_column_mix_moves_the_pooled_witness():
@@ -156,9 +192,9 @@ def test_column_mix_moves_the_pooled_witness():
     cfg = builtin_config("II-0")
     eps = 0.02
     best = 0.0
-    for seed in range(25):
-        ens = generate_drift_ensemble(cfg, DriftModel(eps, 10, "column-mix"), seed)
-        pooled = ProbMatrix.from_rows(np.mean([p.p[:4] for p in ens], axis=0))
+    ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 10, "column-mix"), 0, 25)
+    for ens in ensembles:
+        pooled = ProbMatrix.from_rows(np.mean([p[:4] for p in ens], axis=0))
         w = abs(witness(pooled))
         assert w <= drift_bound(eps)
         best = max(best, w)
@@ -168,9 +204,9 @@ def test_column_mix_moves_the_pooled_witness():
 def test_pooled_jitter_respects_bound(rng):
     cfg = builtin_config("I-second")
     eps = 0.05
-    for seed in range(25):
-        ens = generate_drift_ensemble(cfg, DriftModel(eps, 8, "angle-jitter"), seed)
-        pooled = ProbMatrix.from_rows(np.mean([p.p[:4] for p in ens], axis=0))
+    ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 8, "angle-jitter"), 0, 25)
+    for ens in ensembles:
+        pooled = ProbMatrix.from_rows(np.mean([p[:4] for p in ens], axis=0))
         assert abs(witness(pooled)) <= drift_bound(eps)
 
 

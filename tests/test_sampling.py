@@ -26,6 +26,8 @@ from qubitcert.sampling import (
 )
 from qubitcert.witness import ProbMatrix, witness
 
+from conftest import json_edits, json_values
+
 
 @pytest.fixture
 def truth():
@@ -396,31 +398,6 @@ def test_timestamp_preserved(tmp_path, truth):
 
 _TOP_FIELDS = {"$", "config_id", "device", "jobs", "timestamp"}
 
-_json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers(-2, 12)
-    | st.integers()
-    | st.floats(allow_nan=False)
-    | st.text(max_size=3)
-)
-_json_values = _json_leaves | st.recursive(
-    _json_leaves,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _locations(node, path=()):
-    yield path
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _locations(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _locations(value, path + (i,))
-
 
 @st.composite
 def _documents(draw):
@@ -442,19 +419,7 @@ def _documents(draw):
     doc = {"config_id": "II-0", "device": "sim", "jobs": jobs}
     if draw(st.booleans()):
         doc["timestamp"] = "2024-08-17T12:00:00Z"
-    for _ in range(draw(st.integers(0, 2))):
-        path = draw(st.sampled_from(list(_locations(doc))))
-        if not path:
-            doc = draw(_json_values)
-            continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = draw(_json_values)
-    return doc
+    return draw(json_edits(doc, json_values))
 
 
 def _is_int(x):

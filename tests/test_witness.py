@@ -1,7 +1,5 @@
 """Determinant witness: value, adjugate, variance formula, exact arithmetic."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 import sympy
@@ -12,7 +10,6 @@ from qubitcert.witness import (
     ProbMatrix,
     WitnessResult,
     adjugate,
-    det_exact,
     witness,
     witness_variance,
 )
@@ -71,20 +68,11 @@ def test_witness_of_builtin_configs_is_zero():
 def test_witness_matches_exact_rational_determinant(rng):
     for _ in range(25):
         num = rng.integers(0, 64, (4, 5))
-        rows = [[Fraction(int(v), 64) for v in r] for r in num]
-        rows.append([Fraction(1)] * 5)
+        rows = [[sympy.Rational(int(v), 64) for v in r] for r in num]
+        rows.append([1] * 5)
         p = ProbMatrix.from_rows(np.array(num, dtype=float) / 64.0)
-        exact = det_exact(rows)
+        exact = sympy.Matrix(rows).det()
         assert abs(witness(p) - float(exact)) < 1e-12
-
-
-def test_det_exact_agrees_with_sympy(rng):
-    for _ in range(10):
-        num = rng.integers(-9, 10, (5, 5))
-        rows = [[Fraction(int(v), 7) for v in r] for r in num]
-        ours = det_exact(rows)
-        theirs = sympy.Matrix([[sympy.Rational(int(v), 7) for v in r] for r in num]).det()
-        assert ours == Fraction(int(theirs.p), int(theirs.q))
 
 
 # --- adjugate --------------------------------------------------------------
