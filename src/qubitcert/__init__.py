@@ -11,7 +11,6 @@ known extremal values of W in higher dimensions by numerical search.
 
 __version__ = "0.1.0"
 
-from .bloch import BlochVector, Effect, meas_bloch, prep_bloch, prob
 from .configs import (
     BUILTIN_IDS,
     ConfigSet,
@@ -23,7 +22,6 @@ from .extremal import (
     ExtremalProblem,
     SearchResult,
     StrategyPoint,
-    classical_max,
     maximize_witness,
 )
 from .noise import (
@@ -49,11 +47,6 @@ from .witness import ProbMatrix, WitnessResult, witness, witness_variance
 
 __all__ = [
     "__version__",
-    "BlochVector",
-    "Effect",
-    "meas_bloch",
-    "prep_bloch",
-    "prob",
     "BUILTIN_IDS",
     "ConfigSet",
     "builtin_config",
@@ -62,7 +55,6 @@ __all__ = [
     "ExtremalProblem",
     "SearchResult",
     "StrategyPoint",
-    "classical_max",
     "maximize_witness",
     "CoherentLeakParams",
     "DriftModel",

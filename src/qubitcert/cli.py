@@ -28,7 +28,6 @@ from .configs import (
 from .extremal import (
     DEFAULT_RESTARTS,
     ExtremalProblem,
-    InconsistencyError,
     maximize_witness,
     save_search_result,
 )
@@ -73,6 +72,14 @@ _TARGETS = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _resolve_config(value: str) -> ConfigSet:
     """Accept a built-in id or a path to a config JSON file."""
     if value in BUILTIN_IDS:
@@ -93,13 +100,11 @@ def cmd_gen_config(args) -> int:
         config = load_config(args.config)
     out = Path(args.out) if args.out else Path(f"{config.id}.json")
     save_config(config, out)
-    states, effects = config_bloch_vectors(config)
+    n, m = config_bloch_vectors(config)
     print(f"config {config.id!r} -> {out}")
-    for j, s in enumerate(states, start=1):
-        x, y, z = s.n
+    for j, (x, y, z) in enumerate(n, start=1):
         print(f"  prep n_{j} = ({x:+.6f}, {y:+.6f}, {z:+.6f})")
-    for k, e in enumerate(effects, start=1):
-        x, y, z = e.m
+    for k, (x, y, z) in enumerate(m, start=1):
         print(f"  meas m_{k} = ({x:+.6f}, {y:+.6f}, {z:+.6f})")
     return EXIT_OK
 
@@ -107,7 +112,7 @@ def cmd_gen_config(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args.config)
     drift = None
-    if args.drift_eps > 0.0:
+    if args.drift_eps != 0.0:
         if args.coherent_leak is not None or args.leak_lambda or args.readout_e0 or args.readout_e1:
             raise ValueError(
                 "--drift-eps cannot be combined with other noise flags: "
@@ -196,7 +201,9 @@ def cmd_audit_drift(args) -> int:
 
 def cmd_optimize(args) -> int:
     problem = ExtremalProblem(args.dim, args.field, args.effect_class)
-    restarts = args.restarts or DEFAULT_RESTARTS[args.dim]
+    restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
+    if restarts < 1:
+        raise ValueError(f"--restarts must be >= 1, got {restarts}")
     label, target = _TARGETS[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=10)
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--leak-lambda", type=float, default=0.0, help="common leakage weight")
     p.add_argument("--leak-mu", type=float, default=0.0, help="external-state response")
     p.add_argument("--readout-e0", type=float, default=0.0, help="P(read 1 | true 0)")
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-eps", type=float, required=True)
     p.add_argument("--jobs", type=int, default=10)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--drift-mode",
         choices=["both", "angle-jitter", "column-mix"],
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=[2, 3, 4], required=True)
     p.add_argument("--field", choices=["real", "complex"], default="complex")
     p.add_argument("--restarts", type=int, default=None, help="default: per-dim budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--effect-class", choices=["projective", "general"], default="projective"
     )
@@ -295,7 +302,7 @@ def main(argv=None) -> int:
     except RecordSchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (ValueError, InconsistencyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

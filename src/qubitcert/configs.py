@@ -32,13 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import (
-    BlochVector,
-    Effect,
-    meas_bloch_vectors,
-    prep_bloch_vectors,
-    reduce_angle,
-)
+from .bloch import meas_bloch_vectors, prep_bloch_vectors, reduce_angle
 from .witness import ProbMatrix
 
 __all__ = [
@@ -90,7 +84,7 @@ class ConfigSet:
         i, j = np.unravel_index(np.argmin(d + 10.0 * np.eye(5)), (5, 5))
         if d[i, j] < 1e-9:
             raise ValueError(
-                f"preparations {i + 1} and {j + 1} have coinciding Bloch vectors"
+                f"preparations[{i}] and preparations[{j}] have coinciding Bloch vectors"
             )
 
 
@@ -173,26 +167,17 @@ def builtin_config(id: str) -> ConfigSet:
         ) from None
 
 
-def _angle_arrays(config: ConfigSet):
+def config_bloch_vectors(config: ConfigSet) -> tuple[np.ndarray, np.ndarray]:
+    """Preparation Bloch vectors n (5, 3) and projective-effect vectors m (4, 3)."""
     pa, pb = np.array(config.preparations).T
     mt, mf = np.array(config.measurements).T
-    return pa, pb, mt, mf
+    return prep_bloch_vectors(pa, pb), meas_bloch_vectors(mt, mf)
 
 
 def predicted_prob_matrix(config: ConfigSet) -> ProbMatrix:
     """Ideal-qubit prediction p[k, j] = (1 + m_k . n_j)/2, with the ones row."""
-    pa, pb, mt, mf = _angle_arrays(config)
-    n = prep_bloch_vectors(pa, pb)  # (5, 3)
-    m = meas_bloch_vectors(mt, mf)  # (4, 3)
+    n, m = config_bloch_vectors(config)
     return ProbMatrix.from_rows(0.5 * (1.0 + m @ n.T))
-
-
-def config_bloch_vectors(config: ConfigSet) -> tuple[list[BlochVector], list[Effect]]:
-    """Bloch-picture preparations and (projective) effects of a configuration."""
-    pa, pb, mt, mf = _angle_arrays(config)
-    states = [BlochVector(v) for v in prep_bloch_vectors(pa, pb)]
-    effects = [Effect(1.0, v) for v in meas_bloch_vectors(mt, mf)]
-    return states, effects
 
 
 # ---------------------------------------------------------------------------

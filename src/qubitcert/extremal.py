@@ -27,7 +27,7 @@ in d=3 over the reals, about 0.6319 in d=3 over the complex field, and
 2^12/3^7 in d=4 (both fields; the maximizer needs a rank-2 projector, which is
 why effect updates keep the full positive eigenspace instead of forcing
 rank 1).  Deterministic 0/1 strategies reach |W| = 3, verified exactly by
-:func:`classical_max` via exhaustive integer enumeration.
+:func:`classical_max_detail` via exhaustive integer enumeration.
 """
 
 from __future__ import annotations
@@ -41,34 +41,25 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import meas_bloch_vectors, prep_bloch_vectors
-from .configs import ConfigSet, config_bloch_vectors
-from .witness import ProbMatrix, adjugate, witness
+from .configs import ConfigSet
+from .witness import ProbMatrix, adjugate
 
 __all__ = [
     "ExtremalProblem",
     "StrategyPoint",
     "SearchResult",
-    "InconsistencyError",
     "DEFAULT_RESTARTS",
     "strategy_prob_matrix",
-    "strategy_from_config",
     "maximize_witness",
-    "classical_max",
     "classical_max_detail",
-    "certify_value",
     "search_result_to_dict",
     "save_search_result",
 ]
 
 _ATOL = 1e-10
 
-#: Restart budgets used by certify_value and the CLI when none are given.
+#: Restart budgets the CLI uses when none are given.
 DEFAULT_RESTARTS = {2: 50, 3: 200, 4: 500}
-
-
-class InconsistencyError(RuntimeError):
-    """A search exceeded a claimed theoretical maximum beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -148,34 +139,6 @@ def strategy_prob_matrix(point: StrategyPoint) -> ProbMatrix:
         "jd,kde,je->kj", point.preparations.conj(), point.effects, point.preparations
     ).real
     return ProbMatrix.from_rows(np.clip(rows, 0.0, 1.0))
-
-
-def _bloch_to_state(n: np.ndarray) -> np.ndarray:
-    t = math.acos(min(1.0, max(-1.0, float(n[2]))))
-    phase = math.atan2(float(n[1]), float(n[0]))
-    return np.array(
-        [math.cos(0.5 * t), math.sin(0.5 * t) * np.exp(1j * phase)], dtype=complex
-    )
-
-
-_PAULI = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-
-
-def strategy_from_config(config: ConfigSet) -> StrategyPoint:
-    """Hilbert-space (d=2) strategy point equivalent to an angle configuration."""
-    states, effects = config_bloch_vectors(config)
-    psi = np.stack([_bloch_to_state(s.n) for s in states])
-    eff = np.stack(
-        [0.5 * (e.m0 * np.eye(2) + np.einsum("c,cde->de", e.m, _PAULI)) for e in effects]
-    )
-    return StrategyPoint(psi, eff)
 
 
 # ---------------------------------------------------------------------------
@@ -472,31 +435,18 @@ def classical_max_detail() -> tuple[int, int, np.ndarray]:
     return best, count, example
 
 
-def classical_max() -> int:
-    """Exact maximum |W| over deterministic classical strategies (= 3)."""
-    return classical_max_detail()[0]
-
-
 # ---------------------------------------------------------------------------
-# Certification and export
+# Export
 
 
-def certify_value(
-    problem: ExtremalProblem, claimed: float, tolerance: float, seed: int = 0
-) -> bool:
-    """Run the search at the default budget and compare against a claimed
-    maximum.  A best value beyond claimed + tolerance is not a 'failure to
-    certify' but an inconsistency (the claim or the search is wrong) and
-    raises."""
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    result = maximize_witness(problem, DEFAULT_RESTARTS[problem.d], seed=seed)
-    if abs(result.best_W) > claimed + tolerance:
-        raise InconsistencyError(
-            f"search reached |W| = {abs(result.best_W)}, above the claimed "
-            f"{claimed} + {tolerance}"
-        )
-    return abs(abs(result.best_W) - claimed) <= tolerance
+_PAULI = np.array(
+    [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ],
+    dtype=complex,
+)
 
 
 def _angles_from_bloch_prep(n: np.ndarray) -> tuple[float, float]:

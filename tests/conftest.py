@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qubitcert.configs import ConfigSet
+from qubitcert.configs import ConfigSet, config_bloch_vectors
+from qubitcert.extremal import _PAULI, StrategyPoint
 
 
 def random_config(rng: np.random.Generator) -> ConfigSet:
@@ -16,6 +19,23 @@ def random_config(rng: np.random.Generator) -> ConfigSet:
             )
         except ValueError:
             continue
+
+
+def _bloch_to_state(n: np.ndarray) -> np.ndarray:
+    t = math.acos(min(1.0, max(-1.0, float(n[2]))))
+    phase = math.atan2(float(n[1]), float(n[0]))
+    return np.array(
+        [math.cos(0.5 * t), math.sin(0.5 * t) * np.exp(1j * phase)], dtype=complex
+    )
+
+
+def strategy_from_config(config: ConfigSet) -> StrategyPoint:
+    """Hilbert-space (d=2) strategy point equivalent to an angle configuration:
+    pure states from the Bloch vectors n, projectors (1 + m . sigma)/2."""
+    n, m = config_bloch_vectors(config)
+    psi = np.stack([_bloch_to_state(v) for v in n])
+    eff = 0.5 * (np.eye(2) + np.einsum("kc,cde->kde", m, _PAULI))
+    return StrategyPoint(psi, eff)
 
 
 @pytest.fixture

@@ -123,6 +123,18 @@ def test_simulate_drift_excludes_other_noise(tmp_path, capsys):
     assert "drift" in stderr
 
 
+@pytest.mark.parametrize("eps", ["-0.1", "nan"])
+def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--drift-eps", eps, "--out", str(out)
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "epsilon" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
 def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, monkeypatch, mode):
     argv = [
@@ -374,12 +386,36 @@ def test_optimize_d2_reports_zero(capsys):
     assert "vanishes" in stdout
 
 
+def test_optimize_rejects_zero_restarts(capsys):
+    code, stdout, stderr = run(capsys, "optimize", "--dim", "2", "--restarts", "0")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--restarts" in stderr
+
+
 def test_optimize_requires_dim(capsys):
     code, _, _ = run(capsys, "optimize")
     assert code == EXIT_USAGE
 
 
 # --- top-level -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "II-0"],
+        ["optimize", "--dim", "2"],
+        ["audit-drift", "--config", "II-0", "--drift-eps", "0.01"],
+    ],
+)
+def test_negative_seed_rejected_at_parse_time(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv, "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--seed" in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_command_prints_help(capsys):

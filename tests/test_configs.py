@@ -29,11 +29,6 @@ from conftest import json_edits, json_values
 SQ2, SQ3, SQ6 = math.sqrt(2), math.sqrt(3), math.sqrt(6)
 
 
-def vec_arrays(cfg):
-    states, effects = config_bloch_vectors(cfg)
-    return np.array([s.n for s in states]), np.array([e.m for e in effects])
-
-
 def test_builtin_ids_complete():
     assert BUILTIN_IDS == (
         "I-prime",
@@ -57,7 +52,7 @@ def test_unknown_id_raises_with_listing():
 
 
 def test_first_family_vectors():
-    n, m = vec_arrays(builtin_config("I-prime"))
+    n, m = config_bloch_vectors(builtin_config("I-prime"))
     expected_n = np.array(
         [
             [0, 0, -1],
@@ -73,7 +68,7 @@ def test_first_family_vectors():
 
 
 def test_second_family_vectors():
-    n, m = vec_arrays(builtin_config("I-second"))
+    n, m = config_bloch_vectors(builtin_config("I-second"))
     expected_n = np.array(
         [
             [0, 0, -1],
@@ -104,8 +99,8 @@ def test_parametric_family_shares_all_but_last_preparation():
     base = builtin_config("I-second")
     for i in range(5):
         cfg = builtin_config(f"II-{i}")
-        n, m = vec_arrays(cfg)
-        n0, m0 = vec_arrays(base)
+        n, m = config_bloch_vectors(cfg)
+        n0, m0 = config_bloch_vectors(base)
         assert np.allclose(m, m0, atol=1e-12)
         assert np.allclose(n[0], n0[0], atol=1e-12)
         assert np.allclose(n[1:4], n0[2:5], atol=1e-12)
@@ -118,7 +113,7 @@ def test_parametric_family_shares_all_but_last_preparation():
 def test_parametric_config_arbitrary_parameter():
     cfg = parametric_config(2.5)
     assert cfg.id == "II-2.5"
-    n, _ = vec_arrays(cfg)
+    n, _ = config_bloch_vectors(cfg)
     a5 = 2 * math.pi * 2.5 / 5
     assert np.allclose(n[4], [-math.sin(a5), -math.cos(a5), 0.0], atol=1e-12)
 
@@ -139,15 +134,24 @@ def test_eta_value():
 def test_duplicate_preparations_rejected():
     prep = [(0.0, 0.0)] * 5
     meas = [(1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)]
-    with pytest.raises(ValueError, match="coinciding"):
+    coinciding = r"preparations\[{}\] and preparations\[{}\] have coinciding Bloch vectors"
+    with pytest.raises(ValueError, match=coinciding.format(0, 1)):
         ConfigSet(id="dup", preparations=tuple(prep), measurements=tuple(meas))
     # alpha == beta always prepares the south pole, however the angles differ
-    with pytest.raises(ValueError, match="coinciding"):
+    with pytest.raises(ValueError, match=coinciding.format(0, 1)):
         ConfigSet(
             id="dup2",
             preparations=((1.0, 1.0), (2.0, 2.0), (0.5, 1.5), (1.5, 2.5), (2.5, 3.5)),
             measurements=tuple(meas),
         )
+    # indices count from 0, as in the field names of config_from_dict's errors
+    doc = {
+        "id": "dup3",
+        "preparations": [[0, 0], [0.7, 0.1], [1.4, 0.2], [2.1, 0.3], [1.4, 0.2]],
+        "measurements": [list(m) for m in meas],
+    }
+    with pytest.raises(ValueError, match=coinciding.format(2, 4)):
+        config_from_dict(doc)
 
 
 def test_angles_stored_reduced():
