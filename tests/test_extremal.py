@@ -115,6 +115,11 @@ def test_classical_maximum_detail():
     assert set(np.unique(example[:4])) <= {0, 1}
     exact = sympy.Matrix(example.tolist()).det()
     assert abs(exact) == 3
+
+
+def test_classical_max_is_exact_int():
+    best = classical_max_detail()[0]
+    assert best == 3
     assert isinstance(best, int)
 
 
