@@ -8,25 +8,16 @@ d=3 complex (numerical; no closed form known), 2^12/3^7 for d=4.
 """
 
 import argparse
-import math
 import time
 from pathlib import Path
 
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
+    KNOWN_MAXIMA,
     ExtremalProblem,
     maximize_witness,
     save_search_result,
 )
-
-TARGETS = {
-    (2, "real"): 0.0,
-    (2, "complex"): 0.0,
-    (3, "real"): 27.0 * math.sqrt(2.0) / 64.0,
-    (3, "complex"): None,
-    (4, "real"): 2.0**12 / 3.0**7,
-    (4, "complex"): 2.0**12 / 3.0**7,
-}
 
 
 def main() -> None:
@@ -38,12 +29,14 @@ def main() -> None:
         help="override the per-dimension default budget",
     )
     args = ap.parse_args()
+    if args.restarts is not None and args.restarts < 1:
+        ap.error(f"--restarts must be >= 1, got {args.restarts}")
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'d':>2s} {'field':8s} {'restarts':>8s} {'best |W|':>16s} {'gap':>10s} {'time':>7s}")
-    for (d, field), target in TARGETS.items():
+    for (d, field), (_, target) in KNOWN_MAXIMA.items():
         problem = ExtremalProblem(d, field)
-        restarts = args.restarts or DEFAULT_RESTARTS[d]
+        restarts = DEFAULT_RESTARTS[d] if args.restarts is None else args.restarts
         t0 = time.perf_counter()
         res = maximize_witness(problem, restarts, seed=args.seed)
         dt = time.perf_counter() - t0

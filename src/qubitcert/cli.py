@@ -27,6 +27,7 @@ from .configs import (
 )
 from .extremal import (
     DEFAULT_RESTARTS,
+    KNOWN_MAXIMA,
     ExtremalProblem,
     maximize_witness,
     save_search_result,
@@ -61,15 +62,6 @@ EXIT_SCHEMA = 4
 #: audit-drift generates its trials in blocks of about this many ensemble
 #: members (1024 trials at 10 jobs), so its memory does not grow with --trials
 AUDIT_BLOCK_MEMBERS = 10_240
-
-_TARGETS = {
-    (2, "real"): ("0 (witness vanishes identically for qubits)", 0.0),
-    (2, "complex"): ("0 (witness vanishes identically for qubits)", 0.0),
-    (3, "real"): ("27*sqrt(2)/64 = 0.5966213...", 27.0 * math.sqrt(2.0) / 64.0),
-    (3, "complex"): ("~0.632 (numerical, no known closed form)", None),
-    (4, "real"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
-    (4, "complex"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
-}
 
 
 def _seed(text: str) -> int:
@@ -200,11 +192,11 @@ def cmd_audit_drift(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    problem = ExtremalProblem(args.dim, args.field, args.effect_class)
+    problem = ExtremalProblem(args.dim, args.field)
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
     if restarts < 1:
         raise ValueError(f"--restarts must be >= 1, got {restarts}")
-    label, target = _TARGETS[(args.dim, args.field)]
+    label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")
     result = maximize_witness(problem, restarts, seed=args.seed)
@@ -279,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=["real", "complex"], default="complex")
     p.add_argument("--restarts", type=int, default=None, help="default: per-dim budget")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument(
-        "--effect-class", choices=["projective", "general"], default="projective"
-    )
     p.add_argument("--out", help="search result JSON path")
     p.set_defaults(func=cmd_optimize)
 

@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .configs import ConfigSet
 from .witness import ProbMatrix, adjugate
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "StrategyPoint",
     "SearchResult",
     "DEFAULT_RESTARTS",
+    "KNOWN_MAXIMA",
     "strategy_prob_matrix",
     "maximize_witness",
     "classical_max_detail",
@@ -61,22 +61,28 @@ _ATOL = 1e-10
 #: Restart budgets the CLI uses when none are given.
 DEFAULT_RESTARTS = {2: 50, 3: 200, 4: 500}
 
+#: Known maximum of |W| per (d, field): a printable label and the value, None
+#: where no closed form is known.
+KNOWN_MAXIMA = {
+    (2, "real"): ("0 (witness vanishes identically for qubits)", 0.0),
+    (2, "complex"): ("0 (witness vanishes identically for qubits)", 0.0),
+    (3, "real"): ("27*sqrt(2)/64 = 0.5966213...", 27.0 * math.sqrt(2.0) / 64.0),
+    (3, "complex"): ("~0.632 (numerical, no known closed form)", None),
+    (4, "real"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
+    (4, "complex"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
+}
+
 
 @dataclass(frozen=True)
 class ExtremalProblem:
     d: int
     field: str = "complex"
-    effect_class: str = "projective"
 
     def __post_init__(self) -> None:
         if self.d not in (2, 3, 4):
             raise ValueError(f"d must be 2, 3 or 4, got {self.d}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if self.effect_class not in ("projective", "general"):
-            raise ValueError(
-                f"effect_class must be 'projective' or 'general', got {self.effect_class!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -114,17 +120,17 @@ class StrategyPoint:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best point of a search, plus its restart landscape when the search
-    recorded one: per restart, the final see-saw W, the sweeps it ran and
-    whether it converged (arrays in restart order)."""
+    """Best point of a search, plus its restart landscape: per restart, the
+    final see-saw W, the sweeps it ran and whether it converged (arrays in
+    restart order)."""
 
     best_W: float
     best_point: StrategyPoint
     restarts: int
     converged: bool
-    restart_W: np.ndarray | None = None
-    restart_sweeps: np.ndarray | None = None
-    restart_converged: np.ndarray | None = None
+    restart_W: np.ndarray
+    restart_sweeps: np.ndarray
+    restart_converged: np.ndarray
 
     def __post_init__(self) -> None:
         if abs(self.best_W) > 3.0 + 1e-9:
@@ -135,9 +141,7 @@ class SearchResult:
 
 def strategy_prob_matrix(point: StrategyPoint) -> ProbMatrix:
     """p[k, j] = <psi_j| M_k |psi_j>, with the ones row appended."""
-    rows = np.einsum(
-        "jd,kde,je->kj", point.preparations.conj(), point.effects, point.preparations
-    ).real
+    rows = _rows_from(point.preparations, point.effects)
     return ProbMatrix.from_rows(np.clip(rows, 0.0, 1.0))
 
 
@@ -157,17 +161,11 @@ def _random_point(problem: ExtremalProblem, rng) -> tuple[np.ndarray, np.ndarray
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     effects = np.empty((4, d, d), dtype=complex)
     for k in range(4):
-        if problem.effect_class == "projective":
-            # Rank-1 starts work markedly better than random-rank projectors;
-            # the updates grow the rank where the ascent wants it.
-            v = rvec(d)
-            v /= np.linalg.norm(v)
-            effects[k] = np.outer(v, v.conj())
-        else:
-            h = rvec((d, d))
-            h = h + h.conj().T
-            lam, v = np.linalg.eigh(h)
-            effects[k] = (v * rng.uniform(0.0, 1.0, d)) @ v.conj().T
+        # Rank-1 starts work markedly better than random-rank projectors; the
+        # updates grow the rank where the ascent wants it.
+        v = rvec(d)
+        v /= np.linalg.norm(v)
+        effects[k] = np.outer(v, v.conj())
     return psi, effects
 
 
@@ -439,60 +437,10 @@ def classical_max_detail() -> tuple[int, int, np.ndarray]:
 # Export
 
 
-_PAULI = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-
-
-def _angles_from_bloch_prep(n: np.ndarray) -> tuple[float, float]:
-    delta = math.acos(min(1.0, max(-1.0, -float(n[2]))))
-    beta = math.atan2(-float(n[1]), float(n[0])) if math.sin(delta) > 1e-9 else 0.0
-    return beta - delta, beta
-
-
-def _angles_from_bloch_meas(m: np.ndarray) -> tuple[float, float]:
-    delta = math.acos(min(1.0, max(-1.0, -float(m[2]))))
-    phi = math.atan2(-float(m[1]), float(m[0])) if math.sin(delta) > 1e-9 else 0.0
-    return phi + delta, phi
-
-
-def _config_from_point(point: StrategyPoint) -> ConfigSet | None:
-    """Angle configuration reproducing a d=2 point, when the effects are
-    rank-1 projectors; None otherwise."""
-    if point.d != 2:
-        return None
-    eigs = np.linalg.eigvalsh(point.effects)
-    if np.max(np.abs(np.sort(eigs, axis=1) - np.array([0.0, 1.0]))) > 1e-8:
-        return None
-    preps = []
-    for psi in point.preparations:
-        n = np.einsum("a,cab,b->c", psi.conj(), _PAULI, psi).real
-        preps.append(_angles_from_bloch_prep(n))
-    meas = []
-    for eff in point.effects:
-        m = np.einsum("cab,ba->c", _PAULI, eff).real
-        meas.append(_angles_from_bloch_meas(m))
-    try:
-        return ConfigSet("search-result", tuple(preps), tuple(meas))
-    except ValueError:
-        return None  # coinciding preparations: valid point, not a usable config
-
-
 def search_result_to_dict(result: SearchResult, problem: ExtremalProblem) -> dict:
     point = result.best_point
-    prob = strategy_prob_matrix(point)
-    config = _config_from_point(point)
-    out = {
-        "problem": {
-            "d": problem.d,
-            "field": problem.field,
-            "effect_class": problem.effect_class,
-        },
+    return {
+        "problem": {"d": problem.d, "field": problem.field},
         "best_W": result.best_W,
         "restarts": result.restarts,
         "converged": result.converged,
@@ -503,21 +451,13 @@ def search_result_to_dict(result: SearchResult, problem: ExtremalProblem) -> dic
             [[[float(z.real), float(z.imag)] for z in row] for row in eff]
             for eff in point.effects
         ],
-        "prob_matrix": prob.p.tolist(),
-        "config": None,
-        "landscape": None,
-    }
-    if result.restart_W is not None:
-        out["landscape"] = {
+        "prob_matrix": strategy_prob_matrix(point).p.tolist(),
+        "landscape": {
             "W": result.restart_W.tolist(),
             "sweeps": result.restart_sweeps.tolist(),
             "converged": result.restart_converged.tolist(),
-        }
-    if config is not None:
-        from .configs import config_to_dict
-
-        out["config"] = config_to_dict(config)
-    return out
+        },
+    }
 
 
 def save_search_result(

@@ -101,18 +101,15 @@ class DriftModel:
 class CoherentLeakParams:
     """Phase-dependent coherent rotation into a third level, per gate.
 
-    ``leak_angle = 0`` reduces exactly to the qubit model.  Only a single
-    external level is modeled (dimension 3).
+    ``leak_angle = 0`` reduces exactly to the qubit model.  A single external
+    level is modeled, so the gates act on three levels.
     """
 
     leak_angle: float
-    dimension: int = 3
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.leak_angle):
             raise ValueError("leak_angle must be finite")
-        if self.dimension != 3:
-            raise ValueError("only a single external level (dimension 3) is supported")
 
 
 def apply_common_leakage(p: ProbMatrix, params: LeakageParams) -> ProbMatrix:

@@ -48,6 +48,9 @@ __all__ = [
     "load_record",
 ]
 
+#: Counts are summed in int64, so a record's total sum(shots * reps) must fit.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class RecordSchemaError(ValueError):
     """A record file violates the schema; ``field`` names the first offender."""
@@ -107,6 +110,8 @@ class ExperimentRecord:
             raise ValueError("need one shots and one reps value per job")
         if np.any(shots < 1) or np.any(reps < 1):
             raise ValueError("shots and reps must be >= 1")
+        if sum(s * r for s, r in zip(shots.tolist(), reps.tolist())) > _INT64_MAX:
+            raise ValueError(f"total count sum(shots * reps) exceeds {_INT64_MAX}")
         if ones.shape != (int(reps.sum()), 20):
             raise ValueError(
                 f"ones must have shape ({int(reps.sum())}, 20), got {ones.shape}"
@@ -143,6 +148,11 @@ def simulate_record(
     if per_job_noise is not None:
         if config is None:
             raise ValueError("per_job_noise requires the generating config")
+        if per_job_noise.n_jobs != plan.n_jobs:
+            raise ValueError(
+                f"per_job_noise has {per_job_noise.n_jobs} jobs but the plan has "
+                f"{plan.n_jobs}"
+            )
         job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)[0]
     else:
         job_ps = [true_p.p] * plan.n_jobs
@@ -318,6 +328,7 @@ def record_from_dict(data: dict) -> ExperimentRecord:
         raise RecordSchemaError("timestamp", "must be a string when present")
     first_use: dict[str, int] = {}
     all_shots, all_reps, ones = [], [], []
+    total = 0  # sum(shots * reps) so far, a Python int so that it cannot wrap
     for idx, raw in enumerate(raw_jobs):
         path = f"jobs[{idx}]."
         if not isinstance(raw, dict):
@@ -335,6 +346,13 @@ def record_from_dict(data: dict) -> ExperimentRecord:
             raise RecordSchemaError(f"{path}shots", "must be >= 1")
         if reps < 1:
             raise RecordSchemaError(f"{path}repetitions", "must be >= 1")
+        total += shots * reps
+        if total > _INT64_MAX:
+            raise RecordSchemaError(
+                f"{path}shots",
+                f"total count sum(shots * repetitions) reaches {total}, "
+                f"above {_INT64_MAX}",
+            )
         counts = _require(raw, "counts", list, path)
         try:
             arr = np.asarray(counts)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import strategies as st
 
 from qubitcert.configs import ConfigSet, config_bloch_vectors
-from qubitcert.extremal import _PAULI, StrategyPoint
+from qubitcert.extremal import StrategyPoint
+
+_PAULI = np.array(
+    [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ],
+    dtype=complex,
+)
 
 
 def random_config(rng: np.random.Generator) -> ConfigSet:

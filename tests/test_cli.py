@@ -255,6 +255,29 @@ def test_analyze_rejects_duplicate_job_ids(tmp_path, capsys):
     assert "jobs[2].job_id" in stderr
 
 
+def test_analyze_rejects_total_count_beyond_int64(tmp_path, capsys):
+    """Four empty 2**62-shot jobs before one leaky job: the total count wraps
+    in int64, which once gave a small T and a PASS for the leaky record."""
+    rec = tmp_path / "rec.json"
+    code, _, _ = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "1", "--shots", "100000",
+        "--coherent-leak", "0.3", "--out", str(rec),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(rec.read_text())
+    huge = [
+        {"job_id": f"huge-{n}", "shots": 2**62, "repetitions": 1,
+         "counts": [[[0, 2**62]] * 20]}
+        for n in range(4)
+    ]
+    doc["jobs"] = huge + doc["jobs"]
+    rec.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "analyze", str(rec))
+    assert code == EXIT_SCHEMA
+    assert "jobs[1].shots" in stderr
+    assert "PASS" not in stdout
+
+
 # --- audit-drift -----------------------------------------------------------
 
 

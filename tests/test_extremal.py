@@ -10,6 +10,7 @@ import sympy
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
+    KNOWN_MAXIMA,
     _random_point,
     ExtremalProblem,
     SearchResult,
@@ -33,13 +34,11 @@ D4_MAX = 2.0**12 / 3.0**7
 
 
 def test_problem_validation():
-    ExtremalProblem(3, "real", "general")
+    ExtremalProblem(3, "real")
     with pytest.raises(ValueError):
         ExtremalProblem(5)
     with pytest.raises(ValueError):
         ExtremalProblem(3, field="rational")
-    with pytest.raises(ValueError):
-        ExtremalProblem(3, effect_class="positive")
 
 
 def test_strategy_point_validation(rng):
@@ -70,7 +69,15 @@ def test_strategy_point_validation(rng):
 def test_search_result_rejects_impossible_witness(rng):
     pt = strategy_from_config(builtin_config("I-second"))
     with pytest.raises(ValueError):
-        SearchResult(best_W=3.5, best_point=pt, restarts=1, converged=True)
+        SearchResult(
+            best_W=3.5,
+            best_point=pt,
+            restarts=1,
+            converged=True,
+            restart_W=np.array([3.5]),
+            restart_sweeps=np.array([1]),
+            restart_converged=np.array([True]),
+        )
 
 
 # --- representation equivalence --------------------------------------------
@@ -244,6 +251,19 @@ def test_default_restart_budgets():
     assert DEFAULT_RESTARTS == {2: 50, 3: 200, 4: 500}
 
 
+def test_known_maxima_table():
+    assert list(KNOWN_MAXIMA) == [(d, f) for d in (2, 3, 4) for f in ("real", "complex")]
+    values = {key: value for key, (_, value) in KNOWN_MAXIMA.items()}
+    assert values == {
+        (2, "real"): 0.0,
+        (2, "complex"): 0.0,
+        (3, "real"): D3_REAL_MAX,
+        (3, "complex"): None,
+        (4, "real"): D4_MAX,
+        (4, "complex"): D4_MAX,
+    }
+
+
 # --- export -----------------------------------------------------------------
 
 
@@ -251,12 +271,12 @@ def test_export_structure_and_consistency(tmp_path):
     problem = ExtremalProblem(3, field="real")
     res = maximize_witness(problem, restarts=10, seed=2)
     d = search_result_to_dict(res, problem)
-    assert d["problem"] == {"d": 3, "field": "real", "effect_class": "projective"}
+    assert d["problem"] == {"d": 3, "field": "real"}
     assert d["best_W"] == res.best_W
     assert d["converged"] is res.converged
     assert len(d["preparations"]) == 5 and len(d["preparations"][0]) == 3
     assert len(d["effects"]) == 4
-    assert d["config"] is None  # no qubit realization of a d=3 extremum
+    assert "config" not in d
     assert d["landscape"] == {
         "W": res.restart_W.tolist(),
         "sweeps": res.restart_sweeps.tolist(),
@@ -273,28 +293,6 @@ def test_export_structure_and_consistency(tmp_path):
     path = tmp_path / "result.json"
     save_search_result(res, problem, path)
     assert json.loads(path.read_text())["best_W"] == res.best_W
-
-
-def test_qubit_export_round_trips_through_config():
-    """A d=2 point with projective effects exports an angle config whose
-    predicted matrix matches the point's matrix."""
-    cfg = builtin_config("I-second")
-    pt = strategy_from_config(cfg)
-    res = SearchResult(
-        best_W=float(witness(strategy_prob_matrix(pt))),
-        best_point=pt,
-        restarts=1,
-        converged=True,
-    )
-    d = search_result_to_dict(res, ExtremalProblem(2))
-    assert d["config"] is not None
-    assert d["landscape"] is None  # built by hand, not by a search
-    from qubitcert.configs import config_from_dict
-
-    back = config_from_dict(d["config"])
-    assert np.max(
-        np.abs(predicted_prob_matrix(back).p - strategy_prob_matrix(pt).p)
-    ) < 1e-9
 
 
 # --- monotonicity -----------------------------------------------------------

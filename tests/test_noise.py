@@ -238,8 +238,6 @@ def _oracle_matrix(cfg, chi):
 def test_leak_param_validation():
     with pytest.raises(ValueError):
         CoherentLeakParams(float("nan"))
-    with pytest.raises(ValueError):
-        CoherentLeakParams(0.1, dimension=4)
 
 
 def test_zero_leak_reduces_to_qubit_model(rng):

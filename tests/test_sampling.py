@@ -76,6 +76,8 @@ def test_job_record_validation():
         ExperimentRecord("II-0", "sim", ("j",), [50, 50], [2], ones)
     with pytest.raises(ValueError):
         ExperimentRecord("II-0", "sim", ("j", "j"), [50, 50], [1, 1], ones)
+    with pytest.raises(ValueError, match="total count"):  # sum wraps in int64
+        ExperimentRecord("II-0", "sim", ("j", "k"), [2**62, 2**62], [1, 1], ones)
 
 
 def test_record_requires_jobs():
@@ -122,6 +124,16 @@ def test_degenerate_probabilities_sample_exactly():
 def test_drift_requires_config(truth, small_plan):
     with pytest.raises(ValueError, match="config"):
         simulate_record(truth, small_plan, DriftModel(0.01, 4))
+
+
+@pytest.mark.parametrize("drift_jobs", [3, 10])
+def test_drift_job_count_must_match_plan(truth, drift_jobs):
+    """Too many drifted matrices were once silently cut, too few an IndexError."""
+    plan = ExperimentPlan(5, 100, 1, seed=2)
+    with pytest.raises(ValueError, match=f"{drift_jobs} jobs but the plan has 5"):
+        simulate_record(
+            truth, plan, DriftModel(0.02, drift_jobs), config=builtin_config("II-0")
+        )
 
 
 def test_drift_simulation_runs(small_plan):
@@ -437,7 +449,7 @@ def _doc_is_valid(doc) -> bool:
     jobs = doc.get("jobs")
     if type(jobs) is not list or not jobs:
         return False
-    ids = []
+    ids, total = [], 0
     for job in jobs:
         if type(job) is not dict:
             return False
@@ -445,6 +457,9 @@ def _doc_is_valid(doc) -> bool:
         if type(job.get("job_id")) is not str or not (_is_int(shots) and _is_int(reps)):
             return False
         if not (1 <= shots < 2**63 and reps >= 1):
+            return False
+        total += shots * reps
+        if total >= 2**63:
             return False
         if type(counts) is not list or len(counts) != reps:
             return False

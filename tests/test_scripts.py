@@ -1,0 +1,50 @@
+"""The scripts under scripts/ run against the current API: each parses --help,
+and the estimator study runs end to end on a small budget."""
+
+import csv
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def _run(monkeypatch, path, *args):
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    runpy.run_path(str(path), run_name="__main__")
+
+
+def test_scripts_found():
+    assert len(SCRIPTS) >= 3
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(monkeypatch, capsys, path):
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--help")
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_estimator_study_writes_csv(monkeypatch, tmp_path):
+    out = tmp_path / "study.csv"
+    path = next(p for p in SCRIPTS if p.name == "run_estimator_study.py")
+    _run(monkeypatch, path, "--replications", "20", "--shots", "1000", "--out", str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row["shots"], row["jobs"], row["replications"]) == ("1000", "10", "20")
+    for key in ("per_job_mean", "per_job_se", "pooled_mean", "pooled_se"):
+        float(row[key])
+    assert float(row["per_job_se"]) > 0.0 and float(row["pooled_se"]) > 0.0
+
+
+def test_extremal_survey_rejects_zero_restarts(monkeypatch, capsys, tmp_path):
+    path = next(p for p in SCRIPTS if p.name == "run_extremal_survey.py")
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--restarts", "0", "--outdir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--restarts must be >= 1" in capsys.readouterr().err
