@@ -16,7 +16,7 @@ should be flagged far beyond it.
 import argparse
 
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
-from qubitcert.noise import CoherentLeakParams, coherent_leak_prob_matrix
+from qubitcert.noise import coherent_leak_prob_matrix
 from qubitcert.sampling import ExperimentPlan, estimate_per_job, estimate_pooled, simulate_record
 
 FOOTPRINTS = {
@@ -30,6 +30,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--leak", type=float, default=0.3, help="coherent leak angle")
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     print(f"{'device':8s} {'config':9s} {'z clean (i/ii)':>18s} {'z leak (ii)':>12s}")
     for device, base_plan in FOOTPRINTS.items():
@@ -39,15 +41,15 @@ def main() -> None:
         for cid in BUILTIN_IDS:
             cfg = builtin_config(cid)
             clean = simulate_record(
-                predicted_prob_matrix(cfg), plan, config_id=cid, device=device
+                predicted_prob_matrix(cfg), plan, config=cfg, device=device
             )
             z_i = estimate_per_job(clean)[0].z
             z_ii = estimate_pooled(clean).z
 
             leaky = simulate_record(
-                coherent_leak_prob_matrix(cfg, CoherentLeakParams(args.leak)),
+                coherent_leak_prob_matrix(cfg, args.leak),
                 plan,
-                config_id=cid,
+                config=cfg,
                 device=device,
             )
             z_leak = estimate_pooled(leaky).z

@@ -28,6 +28,8 @@ def main() -> None:
     )
     ap.add_argument("--out", default="estimator_study.csv")
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     truth = predicted_prob_matrix(builtin_config(args.config))
     plans = [

@@ -14,7 +14,6 @@ from pathlib import Path
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
-    ExtremalProblem,
     maximize_witness,
     save_search_result,
 )
@@ -29,23 +28,24 @@ def main() -> None:
         help="override the per-dimension default budget",
     )
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
     if args.restarts is not None and args.restarts < 1:
         ap.error(f"--restarts must be >= 1, got {args.restarts}")
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'d':>2s} {'field':8s} {'restarts':>8s} {'best |W|':>16s} {'gap':>10s} {'time':>7s}")
     for (d, field), (_, target) in KNOWN_MAXIMA.items():
-        problem = ExtremalProblem(d, field)
         restarts = DEFAULT_RESTARTS[d] if args.restarts is None else args.restarts
         t0 = time.perf_counter()
-        res = maximize_witness(problem, restarts, seed=args.seed)
+        res = maximize_witness(d, field, restarts, seed=args.seed)
         dt = time.perf_counter() - t0
         gap = "" if target is None else f"{abs(res.best_W) - target:+.1e}"
         print(
             f"{d:2d} {field:8s} {restarts:8d} {abs(res.best_W):16.12f} {gap:>10s} {dt:6.1f}s"
         )
         out = args.outdir / f"extremal_d{d}_{field}.json"
-        save_search_result(res, problem, out)
+        save_search_result(res, out)
 
 
 if __name__ == "__main__":

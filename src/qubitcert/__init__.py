@@ -19,15 +19,12 @@ from .configs import (
     predicted_prob_matrix,
 )
 from .extremal import (
-    ExtremalProblem,
     SearchResult,
     StrategyPoint,
     maximize_witness,
 )
 from .noise import (
-    CoherentLeakParams,
     DriftModel,
-    LeakageParams,
     apply_common_leakage,
     apply_readout_error,
     coherent_leak_prob_matrix,
@@ -52,13 +49,10 @@ __all__ = [
     "builtin_config",
     "parametric_config",
     "predicted_prob_matrix",
-    "ExtremalProblem",
     "SearchResult",
     "StrategyPoint",
     "maximize_witness",
-    "CoherentLeakParams",
     "DriftModel",
-    "LeakageParams",
     "apply_common_leakage",
     "apply_readout_error",
     "coherent_leak_prob_matrix",

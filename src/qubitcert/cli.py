@@ -28,14 +28,11 @@ from .configs import (
 from .extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
-    ExtremalProblem,
     maximize_witness,
     save_search_result,
 )
 from .noise import (
-    CoherentLeakParams,
     DriftModel,
-    LeakageParams,
     apply_common_leakage,
     apply_readout_error,
     coherent_leak_prob_matrix,
@@ -112,13 +109,11 @@ def cmd_simulate(args) -> int:
             )
         drift = DriftModel(args.drift_eps, args.jobs, args.drift_mode)
     if args.coherent_leak is not None:
-        true_p = coherent_leak_prob_matrix(config, CoherentLeakParams(args.coherent_leak))
+        true_p = coherent_leak_prob_matrix(config, args.coherent_leak)
     else:
         true_p = predicted_prob_matrix(config)
     if args.leak_lambda or args.leak_mu:
-        true_p = apply_common_leakage(
-            true_p, LeakageParams(args.leak_lambda, args.leak_mu)
-        )
+        true_p = apply_common_leakage(true_p, args.leak_lambda, args.leak_mu)
     if args.readout_e0 or args.readout_e1:
         true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
 
@@ -192,19 +187,18 @@ def cmd_audit_drift(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    problem = ExtremalProblem(args.dim, args.field)
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
     if restarts < 1:
         raise ValueError(f"--restarts must be >= 1, got {restarts}")
     label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")
-    result = maximize_witness(problem, restarts, seed=args.seed)
+    result = maximize_witness(args.dim, args.field, restarts, seed=args.seed)
     print(f"best |W| = {abs(result.best_W):.12f}  (converged: {result.converged})")
     if target is not None:
         print(f"gap to target: {abs(result.best_W) - target:+.3e}")
     if args.out:
-        save_search_result(result, problem, args.out)
+        save_search_result(result, args.out)
         print(f"search result JSON -> {args.out}")
     return EXIT_OK
 

@@ -232,6 +232,6 @@ def save_config(config: ConfigSet, path: str | Path) -> None:
 def load_config(path: str | Path) -> ConfigSet:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     return config_from_dict(data)

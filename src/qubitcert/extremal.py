@@ -44,7 +44,6 @@ from scipy.optimize import minimize
 from .witness import ProbMatrix, adjugate
 
 __all__ = [
-    "ExtremalProblem",
     "StrategyPoint",
     "SearchResult",
     "DEFAULT_RESTARTS",
@@ -57,6 +56,14 @@ __all__ = [
 ]
 
 _ATOL = 1e-10
+
+#: See-saw sweep cap per restart, and the sweep-to-sweep change in W below
+#: which a restart counts as converged.
+_SWEEPS = 500
+_TOL = 1e-14
+
+#: Nelder-Mead iteration (and evaluation) budget of the polish.
+_POLISH_ITERS = 10**4
 
 #: Restart budgets the CLI uses when none are given.
 DEFAULT_RESTARTS = {2: 50, 3: 200, 4: 500}
@@ -71,18 +78,6 @@ KNOWN_MAXIMA = {
     (4, "real"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
     (4, "complex"): ("2^12/3^7 = 1.8728852...", 2.0**12 / 3.0**7),
 }
-
-
-@dataclass(frozen=True)
-class ExtremalProblem:
-    d: int
-    field: str = "complex"
-
-    def __post_init__(self) -> None:
-        if self.d not in (2, 3, 4):
-            raise ValueError(f"d must be 2, 3 or 4, got {self.d}")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +115,13 @@ class StrategyPoint:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best point of a search, plus its restart landscape: per restart, the
-    final see-saw W, the sweeps it ran and whether it converged (arrays in
-    restart order)."""
+    """Best point of a search over ``field`` ("real" or "complex"), plus its
+    restart landscape: per restart, the final see-saw W, the sweeps it ran and
+    whether it converged (arrays in restart order)."""
 
     best_W: float
     best_point: StrategyPoint
+    field: str
     restarts: int
     converged: bool
     restart_W: np.ndarray
@@ -149,9 +145,8 @@ def strategy_prob_matrix(point: StrategyPoint) -> ProbMatrix:
 # See-saw coordinate ascent
 
 
-def _random_point(problem: ExtremalProblem, rng) -> tuple[np.ndarray, np.ndarray]:
-    d = problem.d
-    cplx = problem.field == "complex"
+def _random_point(d: int, field: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    cplx = field == "complex"
 
     def rvec(shape):
         v = rng.standard_normal(shape)
@@ -178,14 +173,12 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _seesaw(
-    problem: ExtremalProblem, seed: int, restarts: int, sweeps: int, tol: float
-):
+def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
     """All restarts of the alternating closed-form ascent, run as one batch.
 
     Restart r starts from its own generator, spawned as (seed, r).  Each sweep
     updates only the restarts still active; a restart freezes once its
-    sweep-to-sweep change falls below ``tol`` (converged) or at the sweep cap.
+    sweep-to-sweep change falls below ``_TOL`` (converged) or after ``sweeps``.
     Returns the stacked (psi, effects) and, per restart, the final W, the
     number of sweeps run and the converged flag.
     """
@@ -193,10 +186,9 @@ def _seesaw(
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         for r in range(restarts)
     ]
-    starts = [_random_point(problem, rng) for rng in rngs]
+    starts = [_random_point(d, field, rng) for rng in rngs]
     psi = np.stack([s[0] for s in starts])  # (R, 5, d)
     effects = np.stack([s[1] for s in starts])  # (R, 4, d, d)
-    d = problem.d
     p = np.ones((restarts, 5, 5))
     p[:, :4] = _rows_from(psi, effects)
     w = np.linalg.det(p)
@@ -229,7 +221,7 @@ def _seesaw(
             ps[:, j] = v[:, :, -1]
             pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]
         w_new = np.linalg.det(pp)
-        done = np.abs(w_new - w[active]) < tol
+        done = np.abs(w_new - w[active]) < _TOL
         psi[active], effects[active], p[active], w[active] = ps, ef, pp, w_new
         n_sweeps[active] += 1
         converged[active[done]] = True
@@ -317,12 +309,12 @@ def _decode(params: np.ndarray, d: int, cplx: bool) -> tuple[np.ndarray, np.ndar
     return psi, effects
 
 
-def _polish(psi, effects, problem: ExtremalProblem, maxiter: int):
-    cplx = problem.field == "complex"
+def _polish(psi, effects, field: str):
+    d, cplx = psi.shape[1], field == "complex"
     x0 = _encode(psi, effects, cplx)
 
     def neg_w(params):
-        ps, ef = _decode(params, problem.d, cplx)
+        ps, ef = _decode(params, d, cplx)
         p = np.vstack([_rows_from(ps, ef), np.ones(5)])
         return -np.linalg.det(p)
 
@@ -333,49 +325,47 @@ def _polish(psi, effects, problem: ExtremalProblem, maxiter: int):
         options={
             "xatol": 1e-10,
             "fatol": 1e-12,
-            "maxiter": maxiter,
-            "maxfev": maxiter,
+            "maxiter": _POLISH_ITERS,
+            "maxfev": _POLISH_ITERS,
             "initial_simplex": x0 + 1e-4 * np.vstack([np.zeros_like(x0), np.eye(x0.size)]),
         },
     )
-    ps, ef = _decode(res.x, problem.d, cplx)
+    ps, ef = _decode(res.x, d, cplx)
     return ps, ef, -float(res.fun)
 
 
-def maximize_witness(
-    problem: ExtremalProblem,
-    restarts: int,
-    seed: int = 0,
-    sweeps: int = 500,
-    polish_iters: int = 10**4,
-) -> SearchResult:
-    """Random-restart see-saw ascent, with a Nelder-Mead polish of the best
-    restart over the unconstrained chart.
+def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> SearchResult:
+    """Random-restart see-saw ascent over d-dimensional strategies (d = 2, 3
+    or 4, ``field`` "real" or "complex"), with a Nelder-Mead polish of the
+    best restart over the unconstrained chart.
 
     Restarts draw independent starting points from generators spawned as
     (seed, restart index) and ascend as one batch, so each restart's result
     does not depend on how many others run beside it; ties break toward the
     lowest restart index.  ``converged`` reports whether the winning
-    restart's sweep-to-sweep improvement fell below 1e-14 within the sweep
-    budget.  The result also carries every restart's final W, sweep count and
+    restart's sweep-to-sweep improvement fell below 1e-14 within 500 sweeps.
+    The result also carries every restart's final W, sweep count and
     converged flag.
     """
+    if d not in (2, 3, 4):
+        raise ValueError(f"d must be 2, 3 or 4, got {d}")
+    if field not in ("real", "complex"):
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    psis, effs, ws, n_sweeps, convs = _seesaw(problem, seed, restarts, sweeps, tol=1e-14)
+    psis, effs, ws, n_sweeps, convs = _seesaw(d, field, seed, restarts, _SWEEPS)
     win = 0
     for r in range(1, restarts):
         if ws[r] > ws[win] + 1e-15:
             win = r
     psi, effects, w, conv = psis[win], effs[win], float(ws[win]), convs[win]
-    if problem.field == "real":
+    if field == "real":
         psi = psi.real + 0j
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         effects = effects.real + 0j
-    if polish_iters > 0:
-        ps, ef, w_pol = _polish(psi, effects, problem, polish_iters)
-        if w_pol > w:
-            psi, effects, w = ps, ef, w_pol
+    ps, ef, w_pol = _polish(psi, effects, field)
+    if w_pol > w:
+        psi, effects, w = ps, ef, w_pol
     # Clean tiny numerical excursions before constructing the typed point.
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     effects = _herm(effects)
@@ -383,6 +373,7 @@ def maximize_witness(
     return SearchResult(
         best_W=float(w),
         best_point=point,
+        field=field,
         restarts=restarts,
         converged=bool(conv),
         restart_W=ws,
@@ -437,10 +428,10 @@ def classical_max_detail() -> tuple[int, int, np.ndarray]:
 # Export
 
 
-def search_result_to_dict(result: SearchResult, problem: ExtremalProblem) -> dict:
+def search_result_to_dict(result: SearchResult) -> dict:
     point = result.best_point
     return {
-        "problem": {"d": problem.d, "field": problem.field},
+        "problem": {"d": point.d, "field": result.field},
         "best_W": result.best_W,
         "restarts": result.restarts,
         "converged": result.converged,
@@ -460,9 +451,5 @@ def search_result_to_dict(result: SearchResult, problem: ExtremalProblem) -> dic
     }
 
 
-def save_search_result(
-    result: SearchResult, problem: ExtremalProblem, path: str | Path
-) -> None:
-    Path(path).write_text(
-        json.dumps(search_result_to_dict(result, problem), indent=2) + "\n"
-    )
+def save_search_result(result: SearchResult, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(search_result_to_dict(result), indent=2) + "\n")

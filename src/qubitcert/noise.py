@@ -30,9 +30,7 @@ from .configs import ConfigSet, predicted_prob_matrix
 from .witness import ProbMatrix, checked_probabilities
 
 __all__ = [
-    "LeakageParams",
     "DriftModel",
-    "CoherentLeakParams",
     "apply_common_leakage",
     "apply_readout_error",
     "generate_drift_ensemble",
@@ -46,22 +44,6 @@ _SQRT2 = math.sqrt(2.0)
 # (1 + sqrt(2)) * delta: the Bloch vectors are 1-Lipschitz in the first gate
 # angle and sqrt(2)-Lipschitz in the second, and |dp| <= (|dm| + |dn|)/2.
 _JITTER_LIPSCHITZ = 1.0 + _SQRT2
-
-
-@dataclass(frozen=True)
-class LeakageParams:
-    """Common incoherent leakage: weight ``lambda_prep`` moved from every
-    preparation to one external state, to which every effect responds with
-    probability ``mu_meas``."""
-
-    lambda_prep: float
-    mu_meas: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_prep < 1.0:
-            raise ValueError(f"lambda_prep must be in [0, 1), got {self.lambda_prep}")
-        if not 0.0 <= self.mu_meas <= 1.0:
-            raise ValueError(f"mu_meas must be in [0, 1], got {self.mu_meas}")
 
 
 @dataclass(frozen=True)
@@ -97,30 +79,21 @@ class DriftModel:
             )
 
 
-@dataclass(frozen=True)
-class CoherentLeakParams:
-    """Phase-dependent coherent rotation into a third level, per gate.
-
-    ``leak_angle = 0`` reduces exactly to the qubit model.  A single external
-    level is modeled, so the gates act on three levels.
-    """
-
-    leak_angle: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.leak_angle):
-            raise ValueError("leak_angle must be finite")
-
-
-def apply_common_leakage(p: ProbMatrix, params: LeakageParams) -> ProbMatrix:
-    """p'_{kj} = (1 - lambda) p_{kj} + lambda * mu on the measured rows.
+def apply_common_leakage(p: ProbMatrix, lambda_prep: float, mu_meas: float) -> ProbMatrix:
+    """Common incoherent leakage: weight ``lambda_prep`` moved from every
+    preparation to one external state, to which every effect responds with
+    probability ``mu_meas``; p'_{kj} = (1 - lambda) p_{kj} + lambda * mu on the
+    measured rows.
 
     This is the probability-level action of normalized leaky preparations
     N' = (1-lambda) N + lambda |e><e| against effects with <e|M'|e> = mu.
     Scales any witness by (1 - lambda)^4; a zero witness stays zero.
     """
-    lam, mu = params.lambda_prep, params.mu_meas
-    rows = (1.0 - lam) * p.p[:4] + lam * mu
+    if not 0.0 <= lambda_prep < 1.0:
+        raise ValueError(f"lambda_prep must be in [0, 1), got {lambda_prep}")
+    if not 0.0 <= mu_meas <= 1.0:
+        raise ValueError(f"mu_meas must be in [0, 1], got {mu_meas}")
+    rows = (1.0 - lambda_prep) * p.p[:4] + lambda_prep * mu_meas
     return ProbMatrix.from_rows(rows)
 
 
@@ -264,20 +237,21 @@ def _leaky_gate(gamma: float, chi: float) -> np.ndarray:
     return leak @ u
 
 
-def coherent_leak_prob_matrix(
-    config: ConfigSet, params: CoherentLeakParams
-) -> ProbMatrix:
+def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> ProbMatrix:
     """Outcome probabilities |<0| U_theta U_phi U_beta U_alpha |0>|^2 with
-    every gate embedded as the leaky qutrit unitary above."""
-    chi = params.leak_angle
+    every gate embedded as the leaky qutrit unitary above, a phase-dependent
+    coherent rotation by ``leak_angle`` into a third level.  ``leak_angle = 0``
+    reduces exactly to the qubit model."""
+    if not math.isfinite(leak_angle):
+        raise ValueError("leak_angle must be finite")
     ket0 = np.zeros(3, dtype=complex)
     ket0[0] = 1.0
     preps = [
-        _leaky_gate(b, chi) @ _leaky_gate(a, chi) @ ket0
+        _leaky_gate(b, leak_angle) @ _leaky_gate(a, leak_angle) @ ket0
         for a, b in config.preparations
     ]
     bras = [
-        ket0 @ _leaky_gate(t, chi) @ _leaky_gate(f, chi)
+        ket0 @ _leaky_gate(t, leak_angle) @ _leaky_gate(f, leak_angle)
         for t, f in config.measurements
     ]
     rows = np.empty((4, 5))

@@ -73,6 +73,8 @@ class ExperimentPlan:
         for name in ("n_jobs", "shots", "repetitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_counts(self) -> int:
@@ -134,11 +136,11 @@ def simulate_record(
     per_job_noise: DriftModel | None = None,
     *,
     config: ConfigSet | None = None,
-    config_id: str | None = None,
     device: str = "simulator",
 ) -> ExperimentRecord:
     """Draw binomial counts for every (job, repetition, circuit).
 
+    The record's config id is ``config.id``, or "custom" without a config.
     With ``per_job_noise`` set, each job samples from its own drifted matrix
     (generated from ``config``, which is then required, since drifted matrices
     are re-derived from the gate angles).  Each job's counts come from an
@@ -156,8 +158,6 @@ def simulate_record(
         job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)[0]
     else:
         job_ps = [true_p.p] * plan.n_jobs
-    if config_id is None:
-        config_id = config.id if config is not None else "custom"
 
     ones = []
     for n in range(plan.n_jobs):
@@ -167,7 +167,7 @@ def simulate_record(
         cells = job_ps[n][:4].reshape(20)
         ones.append(rng.binomial(plan.shots, cells, size=(plan.repetitions, 20)))
     return ExperimentRecord(
-        config_id,
+        config.id if config is not None else "custom",
         device,
         tuple(f"job-{n:04d}" for n in range(plan.n_jobs)),
         np.full(plan.n_jobs, plan.shots),
@@ -407,6 +407,6 @@ def save_record(record: ExperimentRecord, path: str | Path) -> None:
 def load_record(path: str | Path) -> ExperimentRecord:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise RecordSchemaError("$", f"not valid JSON: {exc}") from None
     return record_from_dict(data)

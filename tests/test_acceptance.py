@@ -19,13 +19,10 @@ from qubitcert.configs import (
 )
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
-    ExtremalProblem,
     classical_max_detail,
     maximize_witness,
 )
 from qubitcert.noise import (
-    CoherentLeakParams,
-    LeakageParams,
     apply_common_leakage,
     coherent_leak_prob_matrix,
     drift_bound,
@@ -67,9 +64,7 @@ def test_criterion_2_extremal_d3_real():
     """Default-budget search reaches 27*sqrt(2)/64 within 1e-3."""
     t0 = time.perf_counter()
     target = 27.0 * math.sqrt(2.0) / 64.0
-    res = maximize_witness(
-        ExtremalProblem(3, field="real"), DEFAULT_RESTARTS[3], seed=0
-    )
+    res = maximize_witness(3, "real", DEFAULT_RESTARTS[3], seed=0)
     t = time.perf_counter() - t0
     gap = abs(res.best_W - target)
     _report(
@@ -84,7 +79,7 @@ def test_criterion_3_extremal_d4():
     """Default-budget search reaches 2^12/3^7 within 5e-3."""
     t0 = time.perf_counter()
     target = 2.0**12 / 3.0**7
-    res = maximize_witness(ExtremalProblem(4), DEFAULT_RESTARTS[4], seed=0)
+    res = maximize_witness(4, "complex", DEFAULT_RESTARTS[4], seed=0)
     t = time.perf_counter() - t0
     gap = abs(res.best_W - target)
     _report(
@@ -117,14 +112,14 @@ def test_criterion_5_leakage_invariance_and_scaling():
         p = predicted_prob_matrix(builtin_config(cid))
         for lam in np.linspace(0.0, 0.99, 10):
             for mu in np.linspace(0.0, 1.0, 10):
-                q = apply_common_leakage(p, LeakageParams(lam, mu))
+                q = apply_common_leakage(p, lam, mu)
                 worst_zero = max(worst_zero, abs(witness(q)))
     rng = np.random.default_rng(5)
     worst_scale = 0.0
     for _ in range(1000):
         p = ProbMatrix.from_rows(rng.uniform(0.0, 1.0, (4, 5)))
         lam, mu = rng.uniform(0.0, 0.99), rng.uniform(0.0, 1.0)
-        q = apply_common_leakage(p, LeakageParams(lam, mu))
+        q = apply_common_leakage(p, lam, mu)
         worst_scale = max(
             worst_scale, abs(witness(q) - (1.0 - lam) ** 4 * witness(p))
         )
@@ -206,12 +201,12 @@ def test_criterion_8_reference_footprint_z_scores():
     cfg = builtin_config("II-0")
 
     clean = simulate_record(
-        predicted_prob_matrix(cfg), plan, config_id="II-0", device="nairobi"
+        predicted_prob_matrix(cfg), plan, config=cfg, device="nairobi"
     )
     z_clean = estimate_pooled(clean).z
 
-    leaky_p = coherent_leak_prob_matrix(cfg, CoherentLeakParams(0.3))
-    leaky = simulate_record(leaky_p, plan, config_id="II-0", device="nairobi")
+    leaky_p = coherent_leak_prob_matrix(cfg, 0.3)
+    leaky = simulate_record(leaky_p, plan, config=cfg, device="nairobi")
     z_leak = estimate_pooled(leaky).z
 
     t = time.perf_counter() - t0

@@ -23,6 +23,11 @@ from qubitcert.witness import witness
 from drift_reference import reference_ensemble, reference_worst
 
 
+#: JSON files json.loads cannot decode: nesting deep enough to exhaust the
+#: decoder's recursion, and bytes that are not UTF-8.
+UNDECODABLE = [b"[" * 100_000, b"\xff\xfe{"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -175,6 +180,17 @@ def test_simulate_custom_config_file(tmp_path, capsys):
     assert load_record(out).config_id == "I-prime"
 
 
+@pytest.mark.parametrize("content", UNDECODABLE, ids=["deep", "not-utf8"])
+def test_simulate_undecodable_config_is_usage_error(tmp_path, capsys, content):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_bytes(content)
+    out = tmp_path / "r.json"
+    code, _, stderr = run(capsys, "simulate", "--config", str(cfgfile), "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "not valid JSON" in stderr
+    assert not out.exists()
+
+
 def test_simulate_missing_config(capsys, tmp_path):
     code, _, stderr = run(
         capsys, "simulate", "--config", str(tmp_path / "ghost.json"),
@@ -223,6 +239,16 @@ def test_analyze_flags_coherent_leak(tmp_path, capsys):
 def test_analyze_missing_file(capsys, tmp_path):
     code, _, stderr = run(capsys, "analyze", str(tmp_path / "ghost.json"))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("content", UNDECODABLE, ids=["deep", "not-utf8"])
+def test_analyze_undecodable_record_is_schema_error(tmp_path, capsys, content):
+    rec = tmp_path / "rec.json"
+    rec.write_bytes(content)
+    code, stdout, stderr = run(capsys, "analyze", str(rec))
+    assert code == EXIT_SCHEMA
+    assert "not valid JSON" in stderr
+    assert stdout == ""
 
 
 def test_analyze_schema_violation(tmp_path, capsys):

@@ -11,8 +11,10 @@ from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
+    _SWEEPS,
+    _TOL,
     _random_point,
-    ExtremalProblem,
+    _seesaw,
     SearchResult,
     StrategyPoint,
     classical_max_detail,
@@ -34,11 +36,10 @@ D4_MAX = 2.0**12 / 3.0**7
 
 
 def test_problem_validation():
-    ExtremalProblem(3, "real")
-    with pytest.raises(ValueError):
-        ExtremalProblem(5)
-    with pytest.raises(ValueError):
-        ExtremalProblem(3, field="rational")
+    with pytest.raises(ValueError, match="d must be"):
+        maximize_witness(5, "complex", restarts=1)
+    with pytest.raises(ValueError, match="field must be"):
+        maximize_witness(3, "rational", restarts=1)
 
 
 def test_strategy_point_validation(rng):
@@ -72,6 +73,7 @@ def test_search_result_rejects_impossible_witness(rng):
         SearchResult(
             best_W=3.5,
             best_point=pt,
+            field="complex",
             restarts=1,
             converged=True,
             restart_W=np.array([3.5]),
@@ -135,7 +137,7 @@ def test_classical_max_is_exact_int():
 
 def test_qubit_search_finds_zero():
     for field in ("real", "complex"):
-        res = maximize_witness(ExtremalProblem(2, field=field), restarts=10, seed=0)
+        res = maximize_witness(2, field, restarts=10, seed=0)
         assert abs(res.best_W) < 1e-8
         assert res.restarts == 10
 
@@ -144,51 +146,51 @@ def test_every_qubit_restart_converges_to_zero():
     """Not just the best: single-restart runs from many seeds must all land
     below 1e-8 — a strong regression on the parametrization itself."""
     for seed in range(8):
-        res = maximize_witness(ExtremalProblem(2), restarts=1, seed=seed)
+        res = maximize_witness(2, "complex", restarts=1, seed=seed)
         assert abs(res.best_W) < 1e-8, seed
 
 
 def test_d3_real_search_regression():
-    res = maximize_witness(ExtremalProblem(3, field="real"), restarts=20, seed=0)
+    res = maximize_witness(3, "real", restarts=20, seed=0)
     assert res.best_W == pytest.approx(D3_REAL_MAX, abs=1e-9)
     assert res.converged
 
 
 def test_d3_complex_search_regression():
-    res = maximize_witness(ExtremalProblem(3, field="complex"), restarts=40, seed=0)
+    res = maximize_witness(3, "complex", restarts=40, seed=0)
     assert res.best_W == pytest.approx(D3_COMPLEX_MAX, abs=1e-8)
     assert res.best_W > D3_REAL_MAX + 0.03  # complex strictly beats real in d=3
 
 
 def test_d4_search_regression():
-    res = maximize_witness(ExtremalProblem(4), restarts=60, seed=0)
+    res = maximize_witness(4, "complex", restarts=60, seed=0)
     assert res.best_W == pytest.approx(D4_MAX, abs=1e-9)
 
 
 def test_search_is_deterministic():
-    a = maximize_witness(ExtremalProblem(3, field="real"), restarts=3, seed=12)
-    b = maximize_witness(ExtremalProblem(3, field="real"), restarts=3, seed=12)
+    a = maximize_witness(3, "real", restarts=3, seed=12)
+    b = maximize_witness(3, "real", restarts=3, seed=12)
     assert a.best_W == b.best_W
     assert np.array_equal(a.best_point.preparations, b.best_point.preparations)
 
 
 def test_search_point_reproduces_reported_witness():
-    res = maximize_witness(ExtremalProblem(3, field="real"), restarts=10, seed=1)
+    res = maximize_witness(3, "real", restarts=10, seed=1)
     w = witness(strategy_prob_matrix(res.best_point))
     assert w == pytest.approx(res.best_W, abs=1e-9)
 
 
-def _one_restart_reference(problem, seed, r, sweeps=500, tol=1e-14):
+def _one_restart_reference(d, field, seed, r):
     """The see-saw run one restart at a time: (final W, sweeps, converged)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-    psi, effects = _random_point(problem, rng)
+    psi, effects = _random_point(d, field, rng)
 
     def rows(ps, ef):
         return np.einsum("jd,kde,je->kj", ps.conj(), ef, ps).real
 
     p = np.vstack([rows(psi, effects), np.ones(5)])
     w = float(np.linalg.det(p))
-    for n in range(1, sweeps + 1):
+    for n in range(1, _SWEEPS + 1):
         w_start = w
         for k in range(4):
             cof = adjugate(p).T
@@ -204,47 +206,43 @@ def _one_restart_reference(problem, seed, r, sweeps=500, tol=1e-14):
             psi[j] = v[:, -1]
             p[:4, j] = rows(psi[j : j + 1], effects)[:, 0]
         w = float(np.linalg.det(p))
-        if abs(w - w_start) < tol:
+        if abs(w - w_start) < _TOL:
             return w, n, True
-    return w, sweeps, False
+    return w, _SWEEPS, False
 
 
-@pytest.mark.parametrize("problem", [ExtremalProblem(3, "complex"), ExtremalProblem(4, "real")])
+@pytest.mark.parametrize("problem", [(3, "complex"), (4, "real")])
 def test_batched_restarts_match_one_at_a_time(problem):
-    res = maximize_witness(problem, restarts=6, seed=7, polish_iters=0)
+    d, field = problem
+    _, _, ws, n_sweeps, convs = _seesaw(d, field, 7, 6, _SWEEPS)
     for r in range(6):
-        got = (res.restart_W[r], res.restart_sweeps[r], res.restart_converged[r])
-        assert got == _one_restart_reference(problem, 7, r), r
+        got = (ws[r], n_sweeps[r], convs[r])
+        assert got == _one_restart_reference(d, field, 7, r), r
 
 
 def test_restart_results_do_not_depend_on_batch_size():
     """Restart r ends at the same bits whether 12 or 40 restarts ascend
-    beside it; read from the exported landscape."""
-    problem = ExtremalProblem(3, field="complex")
-    few, many = (
-        search_result_to_dict(
-            maximize_witness(problem, restarts=n, seed=5, polish_iters=0), problem
-        )["landscape"]
-        for n in (12, 40)
-    )
-    assert len(few["W"]) == 12 and len(many["W"]) == 40
-    for key in ("W", "sweeps", "converged"):
-        assert few[key] == many[key][:12], key
+    beside it."""
+    few, many = (_seesaw(3, "complex", 5, n, _SWEEPS)[2:] for n in (12, 40))
+    assert len(few[0]) == 12 and len(many[0]) == 40
+    for key, a, b in zip(("W", "sweeps", "converged"), few, many):
+        assert a.tolist() == b[:12].tolist(), key
 
 
 def test_landscape_describes_every_restart():
-    res = maximize_witness(ExtremalProblem(3, field="real"), restarts=6, seed=0, sweeps=40)
-    assert res.restart_W.shape == res.restart_sweeps.shape == (6,)
-    assert res.restart_converged.dtype == bool
-    assert np.all((res.restart_sweeps >= 1) & (res.restart_sweeps <= 40))
+    _, _, ws, n_sweeps, convs = _seesaw(3, "real", 0, 6, 40)
+    assert ws.shape == n_sweeps.shape == (6,)
+    assert convs.dtype == bool
+    assert np.all((n_sweeps >= 1) & (n_sweeps <= 40))
     # a restart that stopped short of the cap did so because it converged
-    assert np.all(res.restart_converged | (res.restart_sweeps == 40))
+    assert np.all(convs | (n_sweeps == 40))
+    res = maximize_witness(3, "real", restarts=6, seed=0)
     assert np.max(res.restart_W) <= res.best_W + 1e-12
 
 
 def test_restart_validation():
     with pytest.raises(ValueError):
-        maximize_witness(ExtremalProblem(2), restarts=0)
+        maximize_witness(2, "complex", restarts=0)
 
 
 def test_default_restart_budgets():
@@ -268,9 +266,8 @@ def test_known_maxima_table():
 
 
 def test_export_structure_and_consistency(tmp_path):
-    problem = ExtremalProblem(3, field="real")
-    res = maximize_witness(problem, restarts=10, seed=2)
-    d = search_result_to_dict(res, problem)
+    res = maximize_witness(3, "real", restarts=10, seed=2)
+    d = search_result_to_dict(res)
     assert d["problem"] == {"d": 3, "field": "real"}
     assert d["best_W"] == res.best_W
     assert d["converged"] is res.converged
@@ -291,7 +288,7 @@ def test_export_structure_and_consistency(tmp_path):
     assert np.max(np.abs(p.p - np.array(d["prob_matrix"]))) < 1e-12
 
     path = tmp_path / "result.json"
-    save_search_result(res, problem, path)
+    save_search_result(res, path)
     assert json.loads(path.read_text())["best_W"] == res.best_W
 
 
@@ -299,7 +296,7 @@ def test_export_structure_and_consistency(tmp_path):
 
 
 def test_witness_grows_with_dimension():
-    w2 = abs(maximize_witness(ExtremalProblem(2), restarts=5, seed=0).best_W)
-    w3 = maximize_witness(ExtremalProblem(3), restarts=25, seed=0).best_W
-    w4 = maximize_witness(ExtremalProblem(4), restarts=40, seed=0).best_W
+    w2 = abs(maximize_witness(2, "complex", restarts=5, seed=0).best_W)
+    w3 = maximize_witness(3, "complex", restarts=25, seed=0).best_W
+    w4 = maximize_witness(4, "complex", restarts=40, seed=0).best_W
     assert w2 < 1e-8 < w3 < w4

@@ -8,9 +8,7 @@ from scipy.linalg import expm
 
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
 from qubitcert.noise import (
-    CoherentLeakParams,
     DriftModel,
-    LeakageParams,
     apply_common_leakage,
     apply_readout_error,
     coherent_leak_prob_matrix,
@@ -27,14 +25,15 @@ from drift_reference import reference_ensemble, reference_worst
 
 
 def test_leakage_param_validation():
-    with pytest.raises(ValueError):
-        LeakageParams(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        LeakageParams(1.0, 0.5)
-    with pytest.raises(ValueError):
-        LeakageParams(0.3, 1.5)
-    LeakageParams(0.0, 0.0)
-    LeakageParams(0.99, 1.0)
+    p = predicted_prob_matrix(builtin_config("II-0"))
+    with pytest.raises(ValueError, match="lambda_prep"):
+        apply_common_leakage(p, -0.1, 0.5)
+    with pytest.raises(ValueError, match="lambda_prep"):
+        apply_common_leakage(p, 1.0, 0.5)
+    with pytest.raises(ValueError, match="mu_meas"):
+        apply_common_leakage(p, 0.3, 1.5)
+    apply_common_leakage(p, 0.0, 0.0)
+    apply_common_leakage(p, 0.99, 1.0)
 
 
 def test_leakage_keeps_builtin_witnesses_zero():
@@ -42,7 +41,7 @@ def test_leakage_keeps_builtin_witnesses_zero():
         p = predicted_prob_matrix(builtin_config(cid))
         for lam in (0.1, 0.5, 0.9):
             for mu in (0.0, 0.3, 1.0):
-                q = apply_common_leakage(p, LeakageParams(lam, mu))
+                q = apply_common_leakage(p, lam, mu)
                 assert abs(witness(q)) < 1e-12
 
 
@@ -51,7 +50,7 @@ def test_leakage_scales_witness_by_fourth_power(rng):
         rows = rng.uniform(0.1, 0.9, (4, 5))
         p = ProbMatrix.from_rows(rows)
         lam, mu = rng.uniform(0, 0.8), rng.uniform(0, 1)
-        q = apply_common_leakage(p, LeakageParams(lam, mu))
+        q = apply_common_leakage(p, lam, mu)
         assert abs(witness(q) - (1 - lam) ** 4 * witness(p)) < 1e-12
 
 
@@ -91,9 +90,8 @@ def test_readout_example():
 def test_channels_commute_on_witness_scale(rng):
     rows = rng.uniform(0.1, 0.9, (4, 5))
     p = ProbMatrix.from_rows(rows)
-    lk = LeakageParams(0.2, 0.4)
-    a = apply_readout_error(apply_common_leakage(p, lk), 0.05, 0.1)
-    b = apply_common_leakage(apply_readout_error(p, 0.05, 0.1), lk)
+    a = apply_readout_error(apply_common_leakage(p, 0.2, 0.4), 0.05, 0.1)
+    b = apply_common_leakage(apply_readout_error(p, 0.05, 0.1), 0.2, 0.4)
     scale = 0.8**4 * 0.85**4
     assert abs(witness(a) - scale * witness(p)) < 1e-12
     assert abs(witness(b) - scale * witness(p)) < 1e-12
@@ -236,24 +234,24 @@ def _oracle_matrix(cfg, chi):
 
 
 def test_leak_param_validation():
-    with pytest.raises(ValueError):
-        CoherentLeakParams(float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        coherent_leak_prob_matrix(builtin_config("II-0"), float("nan"))
 
 
 def test_zero_leak_reduces_to_qubit_model(rng):
     for cid in ("I-prime", "II-2"):
         cfg = builtin_config(cid)
-        p = coherent_leak_prob_matrix(cfg, CoherentLeakParams(0.0))
+        p = coherent_leak_prob_matrix(cfg, 0.0)
         assert np.allclose(p.p, predicted_prob_matrix(cfg).p, atol=1e-12)
     cfg = random_config(rng)
-    p = coherent_leak_prob_matrix(cfg, CoherentLeakParams(0.0))
+    p = coherent_leak_prob_matrix(cfg, 0.0)
     assert np.allclose(p.p, predicted_prob_matrix(cfg).p, atol=1e-12)
 
 
 def test_leak_matches_matrix_exponential_oracle(rng):
     for chi in (0.05, 0.3, 1.1):
         for cfg in (builtin_config("II-0"), random_config(rng)):
-            ours = coherent_leak_prob_matrix(cfg, CoherentLeakParams(chi))
+            ours = coherent_leak_prob_matrix(cfg, chi)
             assert np.allclose(ours.p[:4], _oracle_matrix(cfg, chi), atol=1e-12)
 
 
@@ -266,14 +264,14 @@ def test_leak_witness_regressions():
         0.3: 0.00341483845067273,
     }
     for chi, expected in frozen.items():
-        w = witness(coherent_leak_prob_matrix(cfg, CoherentLeakParams(chi)))
+        w = witness(coherent_leak_prob_matrix(cfg, chi))
         assert w == pytest.approx(expected, rel=1e-9)
 
 
 def test_leak_witness_grows_with_angle():
     cfg = builtin_config("II-0")
     values = [
-        abs(witness(coherent_leak_prob_matrix(cfg, CoherentLeakParams(chi))))
+        abs(witness(coherent_leak_prob_matrix(cfg, chi)))
         for chi in (0.01, 0.05, 0.1, 0.3)
     ]
     assert values == sorted(values)
@@ -282,6 +280,6 @@ def test_leak_witness_grows_with_angle():
 def test_leak_detected_by_every_builtin():
     for cid in BUILTIN_IDS:
         w = witness(
-            coherent_leak_prob_matrix(builtin_config(cid), CoherentLeakParams(0.05))
+            coherent_leak_prob_matrix(builtin_config(cid), 0.05)
         )
         assert abs(w) > 1e-9, cid

@@ -29,9 +29,9 @@ from qubitcert.witness import WitnessResult
 
 @pytest.fixture
 def record():
-    truth = predicted_prob_matrix(builtin_config("I-second"))
+    cfg = builtin_config("I-second")
     return simulate_record(
-        truth, ExperimentPlan(8, 2000, 2, seed=13), config_id="I-second"
+        predicted_prob_matrix(cfg), ExperimentPlan(8, 2000, 2, seed=13), config=cfg
     )
 
 
@@ -61,8 +61,10 @@ def test_render_text_flags_large_z(record):
 
 
 def test_render_text_single_job():
-    truth = predicted_prob_matrix(builtin_config("II-0"))
-    rec = simulate_record(truth, ExperimentPlan(1, 500, 1, seed=2), config_id="II-0")
+    cfg = builtin_config("II-0")
+    rec = simulate_record(
+        predicted_prob_matrix(cfg), ExperimentPlan(1, 500, 1, seed=2), config=cfg
+    )
     rep = analyze_record(rec)
     assert rep.per_job.z is None
     assert "undef" in render_text(rep)

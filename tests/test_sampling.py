@@ -59,6 +59,8 @@ def test_plan_totals_and_validation():
         ExperimentPlan(n_jobs=0, shots=1, repetitions=1)
     with pytest.raises(ValueError):
         ExperimentPlan(n_jobs=1, shots=0, repetitions=1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentPlan(n_jobs=1, shots=1, repetitions=1, seed=-1)
 
 
 def test_job_record_validation():
@@ -89,8 +91,8 @@ def test_record_requires_jobs():
 
 
 def test_simulation_is_deterministic(truth, small_plan):
-    a = simulate_record(truth, small_plan, config_id="I-second")
-    b = simulate_record(truth, small_plan, config_id="I-second")
+    a = simulate_record(truth, small_plan, config=builtin_config("I-second"))
+    b = simulate_record(truth, small_plan, config=builtin_config("I-second"))
     assert a.config_id == "I-second"
     assert a.job_ids == b.job_ids
     assert np.array_equal(a.ones, b.ones)
@@ -299,7 +301,9 @@ def test_bias_study_deterministic(truth):
 
 
 def test_record_round_trip(tmp_path, truth, small_plan):
-    rec = simulate_record(truth, small_plan, config_id="I-second", device="simulator")
+    rec = simulate_record(
+        truth, small_plan, config=builtin_config("I-second"), device="simulator"
+    )
     path = tmp_path / "rec.json"
     save_record(rec, path)
     back = load_record(path)
@@ -391,11 +395,18 @@ def test_schema_error_is_value_error():
     assert issubclass(RecordSchemaError, ValueError)
 
 
+#: Files that json.loads cannot decode: a syntax error, nesting deep enough to
+#: exhaust the decoder's recursion, and bytes that are not UTF-8.
+BAD_JSON = [b"{]", b"[" * 100_000, b"\xff\xfe{"]
+
+
 def test_load_record_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{]")
-    with pytest.raises(RecordSchemaError):
-        load_record(path)
+    for content in BAD_JSON:
+        path.write_bytes(content)
+        with pytest.raises(RecordSchemaError, match="not valid JSON") as exc:
+            load_record(path)
+        assert exc.value.field == "$"
 
 
 def test_timestamp_preserved(tmp_path, truth):

@@ -1,5 +1,6 @@
-"""The scripts under scripts/ run against the current API: each parses --help,
-and the estimator study runs end to end on a small budget."""
+"""The scripts under scripts/ run against the current API: each parses --help
+and rejects a negative --seed, and the estimator study and the device
+footprints run end to end."""
 
 import csv
 import runpy
@@ -48,3 +49,25 @@ def test_extremal_survey_rejects_zero_restarts(monkeypatch, capsys, tmp_path):
         _run(monkeypatch, path, "--restarts", "0", "--outdir", str(tmp_path))
     assert exc.value.code == 2
     assert "--restarts must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_rejects_negative_seed(monkeypatch, capsys, tmp_path, path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_device_footprints_flag_only_the_leak(monkeypatch, capsys):
+    path = next(p for p in SCRIPTS if p.name == "run_device_footprints.py")
+    _run(monkeypatch, path)
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    assert header.split()[:2] == ["device", "config"]
+    assert len(rows) == 14
+    for row in rows:
+        device, cid, z_i, slash, z_ii, z_leak = row.split()
+        assert slash == "/"
+        assert abs(float(z_i)) < 5.0 and abs(float(z_ii)) < 5.0, row
+        assert float(z_leak) > 5.0, row
