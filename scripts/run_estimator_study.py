@@ -31,11 +31,15 @@ def main() -> None:
     if args.seed < 0:
         ap.error(f"--seed must be >= 0, got {args.seed}")
 
-    truth = predicted_prob_matrix(builtin_config(args.config))
-    plans = [
-        ExperimentPlan(args.jobs, s, 1, seed=args.seed) for s in args.shots
-    ]
-    rows = estimator_bias_study(truth, plans, replications=args.replications)
+    # the config, the plans and the study check their inputs before any sampling
+    try:
+        truth = predicted_prob_matrix(builtin_config(args.config))
+        plans = [
+            ExperimentPlan(args.jobs, s, 1, seed=args.seed) for s in args.shots
+        ]
+        rows = estimator_bias_study(truth, plans, replications=args.replications)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(
         f"{'shots':>8s} {'per-job mean':>13s} {'(se)':>10s} "

@@ -40,7 +40,7 @@ from .sampling import (
     save_record,
     simulate_record,
 )
-from .witness import ProbMatrix, WitnessResult, witness, witness_variance
+from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
     "__version__",
@@ -65,8 +65,8 @@ __all__ = [
     "load_record",
     "save_record",
     "simulate_record",
-    "ProbMatrix",
     "WitnessResult",
+    "prob_matrix",
     "witness",
     "witness_variance",
 ]

@@ -48,7 +48,7 @@ from .sampling import (
     save_record,
     simulate_record,
 )
-from .witness import witness, witness_variance
+from .witness import W_CEILING, witness, witness_variance
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -57,7 +57,8 @@ EXIT_IO = 3
 EXIT_SCHEMA = 4
 
 #: audit-drift generates its trials in blocks of about this many ensemble
-#: members (1024 trials at 10 jobs), so its memory does not grow with --trials
+#: members (1024 trials at 10 jobs), so its memory does not grow with --trials;
+#: it is also the most --jobs one trial may have
 AUDIT_BLOCK_MEMBERS = 10_240
 
 
@@ -144,8 +145,17 @@ def cmd_analyze(args) -> int:
 def cmd_audit_drift(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.jobs > AUDIT_BLOCK_MEMBERS:
+        raise ValueError(f"--jobs must be <= {AUDIT_BLOCK_MEMBERS}, got {args.jobs}")
     config = _resolve_config(args.config)
     bound = drift_bound(args.drift_eps)
+    # no |W| exceeds W_CEILING, so a bound at or above it could never fail
+    if not bound < W_CEILING:
+        raise ValueError(
+            f"--drift-eps {args.drift_eps:g} gives bound 80*sqrt(2)*eps^2 = "
+            f"{bound:.6e}, not below the largest possible |W| = {W_CEILING:g}, "
+            "so the audit could not fail"
+        )
     modes = (
         ("angle-jitter", "column-mix")
         if args.drift_mode == "both"

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors, reduce_angle
-from .witness import ProbMatrix
+from .witness import prob_matrix
 
 __all__ = [
     "ETA",
@@ -174,10 +174,10 @@ def config_bloch_vectors(config: ConfigSet) -> tuple[np.ndarray, np.ndarray]:
     return prep_bloch_vectors(pa, pb), meas_bloch_vectors(mt, mf)
 
 
-def predicted_prob_matrix(config: ConfigSet) -> ProbMatrix:
+def predicted_prob_matrix(config: ConfigSet) -> np.ndarray:
     """Ideal-qubit prediction p[k, j] = (1 + m_k . n_j)/2, with the ones row."""
     n, m = config_bloch_vectors(config)
-    return ProbMatrix.from_rows(0.5 * (1.0 + m @ n.T))
+    return prob_matrix(0.5 * (1.0 + m @ n.T))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .witness import ProbMatrix, adjugate
+from .witness import W_CEILING, adjugate, prob_matrix
 
 __all__ = [
     "StrategyPoint",
@@ -129,16 +129,16 @@ class SearchResult:
     restart_converged: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.best_W) > 3.0 + 1e-9:
+        if abs(self.best_W) > W_CEILING + 1e-9:
             raise ValueError(
-                f"witness {self.best_W} exceeds the theoretical ceiling 3"
+                f"witness {self.best_W} exceeds the theoretical ceiling {W_CEILING:g}"
             )
 
 
-def strategy_prob_matrix(point: StrategyPoint) -> ProbMatrix:
+def strategy_prob_matrix(point: StrategyPoint) -> np.ndarray:
     """p[k, j] = <psi_j| M_k |psi_j>, with the ones row appended."""
     rows = _rows_from(point.preparations, point.effects)
-    return ProbMatrix.from_rows(np.clip(rows, 0.0, 1.0))
+    return prob_matrix(np.clip(rows, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
             [[[float(z.real), float(z.imag)] for z in row] for row in eff]
             for eff in point.effects
         ],
-        "prob_matrix": strategy_prob_matrix(point).p.tolist(),
+        "prob_matrix": strategy_prob_matrix(point).tolist(),
         "landscape": {
             "W": result.restart_W.tolist(),
             "sweeps": result.restart_sweeps.tolist(),

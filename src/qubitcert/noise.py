@@ -27,7 +27,7 @@ import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
-from .witness import ProbMatrix, checked_probabilities
+from .witness import prob_matrix
 
 __all__ = [
     "DriftModel",
@@ -79,7 +79,7 @@ class DriftModel:
             )
 
 
-def apply_common_leakage(p: ProbMatrix, lambda_prep: float, mu_meas: float) -> ProbMatrix:
+def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> np.ndarray:
     """Common incoherent leakage: weight ``lambda_prep`` moved from every
     preparation to one external state, to which every effect responds with
     probability ``mu_meas``; p'_{kj} = (1 - lambda) p_{kj} + lambda * mu on the
@@ -93,17 +93,15 @@ def apply_common_leakage(p: ProbMatrix, lambda_prep: float, mu_meas: float) -> P
         raise ValueError(f"lambda_prep must be in [0, 1), got {lambda_prep}")
     if not 0.0 <= mu_meas <= 1.0:
         raise ValueError(f"mu_meas must be in [0, 1], got {mu_meas}")
-    rows = (1.0 - lambda_prep) * p.p[:4] + lambda_prep * mu_meas
-    return ProbMatrix.from_rows(rows)
+    return prob_matrix((1.0 - lambda_prep) * p[:4] + lambda_prep * mu_meas)
 
 
-def apply_readout_error(p: ProbMatrix, e0: float, e1: float) -> ProbMatrix:
+def apply_readout_error(p: np.ndarray, e0: float, e1: float) -> np.ndarray:
     """Uniform assignment errors: 0 read as 1 with ``e0``, 1 read as 0 with
     ``e1``; p' = e0 + (1 - e0 - e1) p.  Scales the witness by (1-e0-e1)^4."""
     if not (0.0 <= e0 < 1.0 and 0.0 <= e1 < 1.0 and e0 + e1 < 1.0):
         raise ValueError(f"need e0, e1 in [0, 1) with e0 + e1 < 1, got {e0}, {e1}")
-    rows = e0 + (1.0 - e0 - e1) * p.p[:4]
-    return ProbMatrix.from_rows(rows)
+    return prob_matrix(e0 + (1.0 - e0 - e1) * p[:4])
 
 
 def drift_bound(epsilon: float) -> float:
@@ -184,10 +182,10 @@ def generate_drift_ensemble(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ref = predicted_prob_matrix(config).p
+    ref = predicted_prob_matrix(config)[:4]
     eps, n_jobs = model.epsilon, model.n_jobs
     if eps == 0.0:
-        return np.broadcast_to(ref, (trials, n_jobs, 5, 5)).copy()
+        return prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))
     rngs = (np.random.default_rng(seed + t) for t in range(trials))
     if model.perturbation_mode == "angle-jitter":
         delta = eps / _JITTER_LIPSCHITZ
@@ -202,11 +200,9 @@ def generate_drift_ensemble(
         ]
         t = np.array([d[0] for d in draws])
         e0 = np.stack([d[1] for d in draws])
-        patterns = _column_mix_patterns(ref[:4], eps, t, e0).reshape(trials, 2, 4, 5)
+        patterns = _column_mix_patterns(ref, eps, t, e0).reshape(trials, 2, 4, 5)
         rows = patterns[:, np.arange(n_jobs) % 2]
-    out = np.ones((trials, n_jobs, 5, 5))
-    out[..., :4, :] = rows
-    return checked_probabilities(out)
+    return prob_matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ def _leaky_gate(gamma: float, chi: float) -> np.ndarray:
     return leak @ u
 
 
-def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> ProbMatrix:
+def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> np.ndarray:
     """Outcome probabilities |<0| U_theta U_phi U_beta U_alpha |0>|^2 with
     every gate embedded as the leaky qutrit unitary above, a phase-dependent
     coherent rotation by ``leak_angle`` into a third level.  ``leak_angle = 0``
@@ -258,4 +254,4 @@ def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> ProbMatri
     for k, bra in enumerate(bras):
         for j, psi in enumerate(preps):
             rows[k, j] = abs(bra @ psi) ** 2
-    return ProbMatrix.from_rows(rows)
+    return prob_matrix(rows)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .configs import ConfigSet
 from .noise import DriftModel, generate_drift_ensemble
-from .witness import ProbMatrix, WitnessResult, witness, witness_variance
+from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
     "ExperimentPlan",
@@ -75,6 +75,11 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.total_counts > _INT64_MAX:
+            raise ValueError(
+                "total count n_jobs * shots * repetitions reaches "
+                f"{self.total_counts}, above {_INT64_MAX}"
+            )
 
     @property
     def total_counts(self) -> int:
@@ -131,7 +136,7 @@ class ExperimentRecord:
 
 
 def simulate_record(
-    true_p: ProbMatrix,
+    true_p: np.ndarray,
     plan: ExperimentPlan,
     per_job_noise: DriftModel | None = None,
     *,
@@ -157,7 +162,7 @@ def simulate_record(
             )
         job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)[0]
     else:
-        job_ps = [true_p.p] * plan.n_jobs
+        job_ps = [true_p] * plan.n_jobs
 
     ones = []
     for n in range(plan.n_jobs):
@@ -185,9 +190,7 @@ def estimate_per_job(record: ExperimentRecord) -> tuple[WitnessResult, np.ndarra
     """
     rows = record.job_ones() / (record.shots * record.reps)[:, None]
     n = len(rows)
-    ws = np.linalg.det(
-        np.concatenate([rows.reshape(n, 4, 5), np.ones((n, 1, 5))], axis=1)
-    )
+    ws = np.linalg.det(prob_matrix(rows.reshape(n, 4, 5)))
     sigma = float(np.std(ws, ddof=1) / np.sqrt(n)) if n > 1 else None
     return WitnessResult(float(np.mean(ws)), sigma), ws
 
@@ -199,7 +202,7 @@ def estimate_pooled(record: ExperimentRecord) -> WitnessResult:
     ``sigma`` comes from the leading-order variance formula at that ``T``.
     """
     total = int(np.sum(record.shots * record.reps))
-    p = ProbMatrix.from_rows((record.ones.sum(axis=0) / total).reshape(4, 5))
+    p = prob_matrix((record.ones.sum(axis=0) / total).reshape(4, 5))
     return WitnessResult(witness(p), float(np.sqrt(witness_variance(p, total))))
 
 
@@ -215,7 +218,7 @@ class BiasStudyRow:
 
 
 def estimator_bias_study(
-    true_p: ProbMatrix,
+    true_p: np.ndarray,
     plan_grid: list[ExperimentPlan],
     replications: int = 1000,
 ) -> list[BiasStudyRow]:
@@ -228,9 +231,13 @@ def estimator_bias_study(
     scale shrinks with the per-job shot count (~1/(shots*repetitions) per
     job) — the point of the study is to quantify that scale, not a true bias.
     """
+    if replications < 2:
+        raise ValueError(
+            f"replications must be >= 2 for a standard error, got {replications}"
+        )
     if abs(witness(true_p)) > 1e-10:
         raise ValueError("bias study requires a witness-zero truth matrix")
-    cells = true_p.p[:4]
+    cells = true_p[:4]
     rows = []
     for plan in plan_grid:
         rng = np.random.default_rng(
@@ -242,11 +249,7 @@ def estimator_bias_study(
         ones = rng.binomial(
             t_job, cells[None, None], size=(replications, plan.n_jobs, 4, 5)
         )
-        phat = ones / t_job
-        full = np.broadcast_to(
-            np.ones((1, 1, 1, 5)), (replications, plan.n_jobs, 1, 5)
-        )
-        mats = np.concatenate([phat, full], axis=2)
+        mats = prob_matrix(ones / t_job)
         per_job_w = np.linalg.det(mats)  # (replications, n_jobs)
         w_i = per_job_w.mean(axis=1)
         pooled = mats.mean(axis=1)  # equal per-job totals -> plain mean

@@ -25,50 +25,41 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ProbMatrix",
+    "W_CEILING",
     "WitnessResult",
+    "prob_matrix",
     "witness",
     "adjugate",
     "witness_variance",
-    "checked_probabilities",
 ]
 
 _ATOL = 1e-12
 
+#: Largest |W| of any behaviour matrix.  The determinant is affine in each
+#: entry, so its maximum over [0, 1]^20 sits at a 0/1 vertex, where
+#: :func:`~qubitcert.extremal.classical_max_detail` finds 3.
+W_CEILING = 3.0
 
-def checked_probabilities(p: np.ndarray) -> np.ndarray:
-    """``p`` (any shape) clipped to [0, 1], after checking that every entry is
-    finite and lies in [0, 1] up to 1e-12 roundoff; ValueError otherwise."""
-    if not np.all(np.isfinite(p)):
+
+def prob_matrix(rows: np.ndarray) -> np.ndarray:
+    """The behaviour matrix of four measurement rows, or of each in a
+    ``(..., 4, 5)`` stack: a read-only float array of shape ``(..., 5, 5)``
+    with the ones row appended.
+
+    Every entry must be finite and lie in [0, 1] up to 1e-12 roundoff, which
+    is clipped away; ValueError otherwise.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-2:] != (4, 5):
+        raise ValueError(f"expected four rows of five, got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("probability matrix entries must be finite")
-    if np.any(p < -_ATOL) or np.any(p > 1.0 + _ATOL):
+    if np.any(rows < -_ATOL) or np.any(rows > 1.0 + _ATOL):
         raise ValueError("probability matrix entries must lie in [0, 1]")
-    return np.clip(p, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ProbMatrix:
-    """5x5 behaviour matrix: four probability rows plus the all-ones row."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (5, 5):
-            raise ValueError(f"probability matrix must be 5x5, got {p.shape}")
-        clipped = checked_probabilities(p)
-        if np.any(p[4] != 1.0):
-            raise ValueError("fifth row must be identically 1")
-        clipped.flags.writeable = False
-        object.__setattr__(self, "p", clipped)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "ProbMatrix":
-        """Build from the four measurement rows; the ones row is appended."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape != (4, 5):
-            raise ValueError(f"expected four rows of five, got {rows.shape}")
-        return cls(np.vstack([rows, np.ones(5)]))
+    p = np.ones(rows.shape[:-2] + (5, 5))
+    p[..., :4, :] = np.clip(rows, 0.0, 1.0)
+    p.flags.writeable = False
+    return p
 
 
 @dataclass(frozen=True)
@@ -89,16 +80,14 @@ class WitnessResult:
         return self.W / self.sigma if self.sigma else None
 
 
-def _mat(p: ProbMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(p, ProbMatrix):
-        return p.p
+def _mat(p: np.ndarray) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {a.shape}")
     return a
 
 
-def witness(p: ProbMatrix | np.ndarray) -> float:
+def witness(p: np.ndarray) -> float:
     """Determinant witness W = det p."""
     return float(np.linalg.det(_mat(p)))
 
@@ -110,7 +99,7 @@ _COLS = _IDX[:, None, None, :]
 _SIGNS = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
 
 
-def adjugate(p: ProbMatrix | np.ndarray) -> np.ndarray:
+def adjugate(p: np.ndarray) -> np.ndarray:
     """Adjugate of a 5x5 matrix, or of each matrix in a ``(..., 5, 5)`` stack:
     (Adj p)_{jk} = (-1)^{j+k} minor_{kj}.
 
@@ -118,13 +107,13 @@ def adjugate(p: ProbMatrix | np.ndarray) -> np.ndarray:
     one batched determinant call; no division, so it is well defined for
     singular matrices and satisfies ``p @ Adj p = det(p) * I`` identically.
     """
-    a = p.p if isinstance(p, ProbMatrix) else np.asarray(p, dtype=float)
+    a = np.asarray(p, dtype=float)
     if a.shape[-2:] != (5, 5):
         raise ValueError(f"expected a (..., 5, 5) array, got shape {a.shape}")
     return _SIGNS * np.linalg.det(a[..., _ROWS, _COLS])
 
 
-def witness_variance(p: ProbMatrix | np.ndarray, T: int) -> float:
+def witness_variance(p: np.ndarray, T: int) -> float:
     """Leading-order variance of the witness under binomial shot noise.
 
     ``T`` is the total count behind every cell of ``p``.  The sum runs over

@@ -8,7 +8,7 @@ import numpy as np
 
 from qubitcert.bloch import meas_bloch_vectors, prep_bloch_vectors
 from qubitcert.configs import predicted_prob_matrix
-from qubitcert.witness import ProbMatrix
+from qubitcert.witness import prob_matrix
 
 _JITTER_LIPSCHITZ = 1.0 + math.sqrt(2.0)
 
@@ -57,15 +57,15 @@ def reference_ensemble(config, model, seed) -> np.ndarray:
     """The ``(n_jobs, 5, 5)`` ensemble of one trial drawn from ``seed``."""
     ref = predicted_prob_matrix(config)
     if model.epsilon == 0.0:
-        return np.array([ref.p] * model.n_jobs)
+        return np.array([ref] * model.n_jobs)
     rng = np.random.default_rng(seed)
     if model.perturbation_mode == "angle-jitter":
         rows = _jitter_matrices(config, model.epsilon, model.n_jobs, rng)
-        return np.array([ProbMatrix.from_rows(r).p for r in rows])
-    pattern_a = _column_mix_pattern(ref.p[:4], model.epsilon, rng)
-    pattern_b = _column_mix_pattern(ref.p[:4], model.epsilon, rng)
+        return np.array([prob_matrix(r) for r in rows])
+    pattern_a = _column_mix_pattern(ref[:4], model.epsilon, rng)
+    pattern_b = _column_mix_pattern(ref[:4], model.epsilon, rng)
     return np.array(
-        [ProbMatrix.from_rows(pattern_b if n % 2 else pattern_a).p for n in range(model.n_jobs)]
+        [prob_matrix(pattern_b if n % 2 else pattern_a) for n in range(model.n_jobs)]
     )
 
 

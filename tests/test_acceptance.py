@@ -33,7 +33,7 @@ from qubitcert.sampling import (
     estimator_bias_study,
     simulate_record,
 )
-from qubitcert.witness import ProbMatrix, witness, witness_variance
+from qubitcert.witness import prob_matrix, witness, witness_variance
 
 from conftest import random_config
 
@@ -117,7 +117,7 @@ def test_criterion_5_leakage_invariance_and_scaling():
     rng = np.random.default_rng(5)
     worst_scale = 0.0
     for _ in range(1000):
-        p = ProbMatrix.from_rows(rng.uniform(0.0, 1.0, (4, 5)))
+        p = prob_matrix(rng.uniform(0.0, 1.0, (4, 5)))
         lam, mu = rng.uniform(0.0, 0.99), rng.uniform(0.0, 1.0)
         q = apply_common_leakage(p, lam, mu)
         worst_scale = max(
@@ -170,7 +170,7 @@ def test_criterion_7_variance_formula_calibration():
     """Empirical Var(pooled W) matches the leading-order formula within 5%."""
     t0 = time.perf_counter()
     truth = predicted_prob_matrix(builtin_config("I-second"))
-    cells = truth.p[:4]
+    cells = truth[:4]
     reps = 10_000
     ok = True
     details = []

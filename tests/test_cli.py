@@ -140,6 +140,27 @@ def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "jobs, shots", [("1", "10000000000000000000"), ("4", "4611686018427387904")]
+)
+def test_simulate_rejects_total_count_beyond_int64(tmp_path, capsys, monkeypatch, jobs, shots):
+    """The plan is rejected before any count is drawn."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the plan was checked")
+
+    monkeypatch.setattr(cli, "simulate_record", no_sampling)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", jobs, "--shots", shots,
+        "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "total count" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
 def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, monkeypatch, mode):
     argv = [
@@ -389,6 +410,35 @@ def test_audit_drift_rejects_no_jobs_before_any_output(capsys, mode):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert "n_jobs" in stderr
+
+
+@pytest.mark.parametrize("eps", ["1e200", "1"])
+def test_audit_drift_rejects_a_bound_no_witness_can_break(capsys, eps):
+    """No behaviour matrix has |W| above 3, so an audit against a bound of 3
+    or more (113 at eps = 1, inf at 1e200) could only pass."""
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", eps, "--trials", "1",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--drift-eps" in stderr and "bound" in stderr
+
+
+def test_audit_drift_caps_jobs_at_one_block(capsys):
+    cap = cli.AUDIT_BLOCK_MEMBERS
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.01",
+        "--jobs", str(cap + 1),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--jobs" in stderr
+    code, stdout, _ = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.01",
+        "--jobs", str(cap), "--trials", "1",
+    )
+    assert code == EXIT_OK
+    assert "PASS: bound never violated" in stdout
 
 
 def test_audit_drift_violated_bound_exits_1(tmp_path, capsys, monkeypatch):

@@ -23,7 +23,7 @@ from qubitcert.extremal import (
     search_result_to_dict,
     strategy_prob_matrix,
 )
-from qubitcert.witness import ProbMatrix, adjugate, witness
+from qubitcert.witness import adjugate, witness
 
 from conftest import random_config, strategy_from_config
 
@@ -91,8 +91,8 @@ def test_config_and_hilbert_representations_agree(rng):
     ]:
         pt = strategy_from_config(cfg)
         assert pt.d == 2
-        a = strategy_prob_matrix(pt).p
-        b = predicted_prob_matrix(cfg).p
+        a = strategy_prob_matrix(pt)
+        b = predicted_prob_matrix(cfg)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -105,11 +105,11 @@ def test_strategy_prob_matrix_row_entries(rng):
         v /= np.linalg.norm(v)
         effects[k] = np.outer(v, v.conj())
     p = strategy_prob_matrix(StrategyPoint(psi, effects))
-    assert np.all(p.p >= 0.0) and np.all(p.p <= 1.0)
-    assert np.array_equal(p.p[4], np.ones(5))
+    assert np.all(p >= 0.0) and np.all(p <= 1.0)
+    assert np.array_equal(p[4], np.ones(5))
     # spot-check one cell against the quadratic form
     want = float((psi[2].conj() @ effects[1] @ psi[2]).real)
-    assert p.p[1, 2] == pytest.approx(want, abs=1e-12)
+    assert p[1, 2] == pytest.approx(want, abs=1e-12)
 
 
 # --- exact classical maximum -----------------------------------------------
@@ -285,7 +285,7 @@ def test_export_structure_and_consistency(tmp_path):
         [[[re + 1j * im for re, im in row] for row in m] for m in d["effects"]]
     )
     p = strategy_prob_matrix(StrategyPoint(psi, eff))
-    assert np.max(np.abs(p.p - np.array(d["prob_matrix"]))) < 1e-12
+    assert np.max(np.abs(p - np.array(d["prob_matrix"]))) < 1e-12
 
     path = tmp_path / "result.json"
     save_search_result(res, path)

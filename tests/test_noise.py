@@ -15,7 +15,7 @@ from qubitcert.noise import (
     drift_bound,
     generate_drift_ensemble,
 )
-from qubitcert.witness import ProbMatrix, witness
+from qubitcert.witness import prob_matrix, witness
 
 from conftest import random_config
 from drift_reference import reference_ensemble, reference_worst
@@ -48,7 +48,7 @@ def test_leakage_keeps_builtin_witnesses_zero():
 def test_leakage_scales_witness_by_fourth_power(rng):
     for _ in range(20):
         rows = rng.uniform(0.1, 0.9, (4, 5))
-        p = ProbMatrix.from_rows(rows)
+        p = prob_matrix(rows)
         lam, mu = rng.uniform(0, 0.8), rng.uniform(0, 1)
         q = apply_common_leakage(p, lam, mu)
         assert abs(witness(q) - (1 - lam) ** 4 * witness(p)) < 1e-12
@@ -67,7 +67,7 @@ def test_readout_param_validation():
 def test_readout_scales_witness_by_fourth_power(rng):
     for _ in range(20):
         rows = rng.uniform(0.1, 0.9, (4, 5))
-        p = ProbMatrix.from_rows(rows)
+        p = prob_matrix(rows)
         e0, e1 = rng.uniform(0, 0.4), rng.uniform(0, 0.4)
         q = apply_readout_error(p, e0, e1)
         assert abs(witness(q) - (1 - e0 - e1) ** 4 * witness(p)) < 1e-12
@@ -82,14 +82,14 @@ def test_readout_example():
             [0.3, 0.7, 0.2, 0.8, 0.9],
         ]
     )
-    p = ProbMatrix.from_rows(rows)
+    p = prob_matrix(rows)
     q = apply_readout_error(p, 0.1, 0.1)
     assert witness(q) == pytest.approx(0.8**4 * witness(p), abs=1e-14)
 
 
 def test_channels_commute_on_witness_scale(rng):
     rows = rng.uniform(0.1, 0.9, (4, 5))
-    p = ProbMatrix.from_rows(rows)
+    p = prob_matrix(rows)
     a = apply_readout_error(apply_common_leakage(p, 0.2, 0.4), 0.05, 0.1)
     b = apply_common_leakage(apply_readout_error(p, 0.05, 0.1), 0.2, 0.4)
     scale = 0.8**4 * 0.85**4
@@ -122,7 +122,7 @@ def test_zero_epsilon_reproduces_reference():
     ens = generate_drift_ensemble(cfg, DriftModel(0.0, 7), seed=3, trials=2)
     assert ens.shape == (2, 7, 5, 5)
     for p in ens.reshape(-1, 5, 5):
-        assert np.array_equal(p, ref.p)
+        assert np.array_equal(p, ref)
 
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
@@ -135,7 +135,7 @@ def test_drift_members_are_witness_zero_and_within_budget(mode, cid):
     assert ens.shape == (3, 12, 5, 5)
     for p in ens.reshape(-1, 5, 5):
         assert abs(witness(p)) < 1e-10
-        assert np.max(np.abs(p - ref.p)) <= eps + 1e-12
+        assert np.max(np.abs(p - ref)) <= eps + 1e-12
         assert np.all(p[4] == 1.0) and np.all((0.0 <= p) & (p <= 1.0))
 
 
@@ -192,7 +192,7 @@ def test_column_mix_moves_the_pooled_witness():
     best = 0.0
     ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 10, "column-mix"), 0, 25)
     for ens in ensembles:
-        pooled = ProbMatrix.from_rows(np.mean([p[:4] for p in ens], axis=0))
+        pooled = prob_matrix(np.mean([p[:4] for p in ens], axis=0))
         w = abs(witness(pooled))
         assert w <= drift_bound(eps)
         best = max(best, w)
@@ -204,7 +204,7 @@ def test_pooled_jitter_respects_bound(rng):
     eps = 0.05
     ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 8, "angle-jitter"), 0, 25)
     for ens in ensembles:
-        pooled = ProbMatrix.from_rows(np.mean([p[:4] for p in ens], axis=0))
+        pooled = prob_matrix(np.mean([p[:4] for p in ens], axis=0))
         assert abs(witness(pooled)) <= drift_bound(eps)
 
 
@@ -242,17 +242,17 @@ def test_zero_leak_reduces_to_qubit_model(rng):
     for cid in ("I-prime", "II-2"):
         cfg = builtin_config(cid)
         p = coherent_leak_prob_matrix(cfg, 0.0)
-        assert np.allclose(p.p, predicted_prob_matrix(cfg).p, atol=1e-12)
+        assert np.allclose(p, predicted_prob_matrix(cfg), atol=1e-12)
     cfg = random_config(rng)
     p = coherent_leak_prob_matrix(cfg, 0.0)
-    assert np.allclose(p.p, predicted_prob_matrix(cfg).p, atol=1e-12)
+    assert np.allclose(p, predicted_prob_matrix(cfg), atol=1e-12)
 
 
 def test_leak_matches_matrix_exponential_oracle(rng):
     for chi in (0.05, 0.3, 1.1):
         for cfg in (builtin_config("II-0"), random_config(rng)):
             ours = coherent_leak_prob_matrix(cfg, chi)
-            assert np.allclose(ours.p[:4], _oracle_matrix(cfg, chi), atol=1e-12)
+            assert np.allclose(ours[:4], _oracle_matrix(cfg, chi), atol=1e-12)
 
 
 def test_leak_witness_regressions():

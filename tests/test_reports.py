@@ -131,7 +131,7 @@ def test_svg_error_bars_scale_with_each_jobs_counts(tmp_path):
     truth = predicted_prob_matrix(builtin_config("II-0"))
     rng = np.random.default_rng(4)
     shots, reps = np.array([100, 1000, 200]), np.array([2, 3, 1])
-    ones = rng.binomial(np.repeat(shots, reps)[:, None], truth.p[:4].ravel())
+    ones = rng.binomial(np.repeat(shots, reps)[:, None], truth[:4].ravel())
     rec = ExperimentRecord("II-0", "sim", ("a", "b", "c"), shots, reps, ones)
     rep = analyze_record(rec)
     assert rep.per_job_T.tolist() == [200, 3000, 200]

@@ -24,7 +24,7 @@ from qubitcert.sampling import (
     save_record,
     simulate_record,
 )
-from qubitcert.witness import ProbMatrix, witness
+from qubitcert.witness import prob_matrix, witness
 
 from conftest import json_edits, json_values
 
@@ -61,6 +61,10 @@ def test_plan_totals_and_validation():
         ExperimentPlan(n_jobs=1, shots=0, repetitions=1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ExperimentPlan(n_jobs=1, shots=1, repetitions=1, seed=-1)
+    top = 2**63 - 1
+    assert ExperimentPlan(n_jobs=1, shots=top, repetitions=1).total_counts == top
+    with pytest.raises(ValueError, match=f"reaches {top + 1}, above {top}"):
+        ExperimentPlan(n_jobs=1, shots=2**62, repetitions=2)
 
 
 def test_job_record_validation():
@@ -116,7 +120,7 @@ def test_degenerate_probabilities_sample_exactly():
     rows = np.zeros((4, 5))
     rows[:, 0] = 1.0
     rec = simulate_record(
-        ProbMatrix.from_rows(rows), ExperimentPlan(2, 100, 2, seed=1)
+        prob_matrix(rows), ExperimentPlan(2, 100, 2, seed=1)
     )
     ones = rec.ones.reshape(4, 4, 5)
     assert np.all(ones[:, :, 0] == 100)
@@ -164,7 +168,7 @@ def test_estimators_on_exact_counts():
             [0.05, 0.95, 0.35, 0.70, 0.25],
         ]
     )
-    p = ProbMatrix.from_rows(rows)
+    p = prob_matrix(rows)
     shots = 400
     ones = np.round(rows.reshape(20) * shots).astype(np.int64)
     rec = ExperimentRecord(
@@ -186,7 +190,7 @@ def test_per_job_witnesses_match_per_job_loop(truth):
     loop, row = [], 0
     for shots, reps in zip(rec.shots.tolist(), rec.reps.tolist()):
         ones = rec.ones[row : row + reps].sum(axis=0)
-        loop.append(witness(ProbMatrix.from_rows((ones / (shots * reps)).reshape(4, 5))))
+        loop.append(witness(prob_matrix((ones / (shots * reps)).reshape(4, 5))))
         row += reps
     assert per_job_W.tolist() == loop
     assert est.W == float(np.mean(loop))
@@ -215,7 +219,7 @@ def test_pooled_stderr_matches_variance_formula(truth):
 
     rec = simulate_record(truth, ExperimentPlan(6, 1000, 2, seed=8))
     est = estimate_pooled(rec)
-    p = ProbMatrix.from_rows((rec.ones.sum(axis=0) / 12_000).reshape(4, 5))
+    p = prob_matrix((rec.ones.sum(axis=0) / 12_000).reshape(4, 5))
     assert est.sigma == pytest.approx(
         np.sqrt(witness_variance(p, 12_000)), rel=1e-12
     )
@@ -230,10 +234,10 @@ def test_pooled_handles_unequal_job_sizes(truth):
     rec = _mixed_record(truth)
     est = estimate_pooled(rec)
     total = 300 + 300 + 700 * 2
-    p = ProbMatrix.from_rows((rec.ones.sum(axis=0) / total).reshape(4, 5))
+    p = prob_matrix((rec.ones.sum(axis=0) / total).reshape(4, 5))
     assert est.W == pytest.approx(witness(p), abs=1e-14)
     adj = adjugate(p)
-    cells = p.p[:4]
+    cells = p[:4]
     var = float(np.sum(cells * (1.0 - cells) * adj.T[:4] ** 2 / total))
     assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-12)
 
@@ -268,7 +272,7 @@ def test_bias_study_rejects_nonzero_truth(rng):
     rows = rng.uniform(0.2, 0.8, (4, 5))
     with pytest.raises(ValueError):
         estimator_bias_study(
-            ProbMatrix.from_rows(rows), [ExperimentPlan(2, 100, 1)], replications=10
+            prob_matrix(rows), [ExperimentPlan(2, 100, 1)], replications=10
         )
 
 

@@ -43,6 +43,26 @@ def test_estimator_study_writes_csv(monkeypatch, tmp_path):
     assert float(row["per_job_se"]) > 0.0 and float(row["pooled_se"]) > 0.0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--replications", "0"], "replications"),
+        (["--replications", "1"], "replications"),
+        (["--jobs", "0"], "n_jobs"),
+        (["--shots", "0"], "shots"),
+        (["--config", "bogus"], "unknown config id"),
+    ],
+)
+def test_estimator_study_rejects_degenerate_inputs(monkeypatch, capsys, tmp_path, args, message):
+    out = tmp_path / "study.csv"
+    path = next(p for p in SCRIPTS if p.name == "run_estimator_study.py")
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, *args, "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extremal_survey_rejects_zero_restarts(monkeypatch, capsys, tmp_path):
     path = next(p for p in SCRIPTS if p.name == "run_extremal_survey.py")
     with pytest.raises(SystemExit) as exc:
