@@ -14,6 +14,7 @@ should be flagged far beyond it.
 """
 
 import argparse
+import math
 
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
 from qubitcert.noise import coherent_leak_prob_matrix
@@ -32,6 +33,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.seed < 0:
         ap.error(f"--seed must be >= 0, got {args.seed}")
+    if not math.isfinite(args.leak):
+        ap.error(f"--leak must be finite, got {args.leak}")
 
     print(f"{'device':8s} {'config':9s} {'z clean (i/ii)':>18s} {'z leak (ii)':>12s}")
     for device, base_plan in FOOTPRINTS.items():

@@ -32,7 +32,10 @@ def main() -> None:
         ap.error(f"--seed must be >= 0, got {args.seed}")
     if args.restarts is not None and args.restarts < 1:
         ap.error(f"--restarts must be >= 1, got {args.restarts}")
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"--outdir {args.outdir} cannot be made a directory: {exc.strerror}")
 
     print(f"{'d':>2s} {'field':8s} {'restarts':>8s} {'best |W|':>16s} {'gap':>10s} {'time':>7s}")
     for (d, field), (_, target) in KNOWN_MAXIMA.items():

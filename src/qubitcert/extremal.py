@@ -39,7 +39,6 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .witness import W_CEILING, adjugate, prob_matrix
 
@@ -307,6 +306,13 @@ def _decode(params: np.ndarray, d: int, cplx: bool) -> tuple[np.ndarray, np.ndar
         effects[k] = (v * np.sin(lam) ** 2) @ v.conj().T
         pos += nh
     return psi, effects
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first call so commands that never polish skip it."""
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, **kwargs)
 
 
 def _polish(psi, effects, field: str):

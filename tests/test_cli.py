@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,3 +531,41 @@ def test_version_flag(capsys):
     code, stdout, _ = run(capsys, "--version")
     assert code == EXIT_OK
     assert "qubitcert" in stdout
+
+
+#: Run in a fresh interpreter: every command but optimize leaves scipy
+#: unimported, and optimize's polish imports scipy.optimize.
+_SCIPY_IMPORT_PROBE = """
+import sys
+
+import qubitcert
+from qubitcert.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert main(["gen-config", "II-0", "--out", "cfg.json"]) == 0
+assert main(["simulate", "--config", "II-0", "--jobs", "2", "--shots", "100",
+             "--out", "rec.json"]) == 0
+assert main(["analyze", "rec.json", "--out", "scatter.csv"]) == 0
+assert main(["audit-drift", "--config", "II-0", "--drift-eps", "0.01", "--jobs", "2",
+             "--trials", "2"]) == 0
+assert scipy_modules() == [], scipy_modules()[:5]
+assert main(["optimize", "--dim", "2", "--restarts", "1"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_optimize_imports_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_IMPORT_PROBE],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.optimize import minimize as scipy_minimize
 
+import qubitcert.extremal as extremal
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
@@ -172,6 +174,24 @@ def test_search_is_deterministic():
     b = maximize_witness(3, "real", restarts=3, seed=12)
     assert a.best_W == b.best_W
     assert np.array_equal(a.best_point.preparations, b.best_point.preparations)
+
+
+def test_polish_runs_through_the_module_minimize(monkeypatch):
+    """The polish calls ``qubitcert.extremal.minimize`` by its module name, so
+    patching that attribute sees every polish call and changes no result."""
+    ref = maximize_witness(3, "real", 4, seed=0)
+    calls = []
+
+    def recorder(fun, x0, **kwargs):
+        calls.append(kwargs)
+        return scipy_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(extremal, "minimize", recorder)
+    res = maximize_witness(3, "real", 4, seed=0)
+    assert [kw["method"] for kw in calls] == ["Nelder-Mead"]
+    assert res.best_W == ref.best_W
+    assert np.array_equal(res.best_point.preparations, ref.best_point.preparations)
+    assert np.array_equal(res.best_point.effects, ref.best_point.effects)
 
 
 def test_search_point_reproduces_reported_witness():

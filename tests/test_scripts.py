@@ -1,6 +1,6 @@
 """The scripts under scripts/ run against the current API: each parses --help
-and rejects a negative --seed, and the estimator study and the device
-footprints run end to end."""
+and rejects a negative --seed, bad arguments exit 2 before any output, and
+the estimator study and the device footprints run end to end."""
 
 import csv
 import runpy
@@ -71,6 +71,18 @@ def test_extremal_survey_rejects_zero_restarts(monkeypatch, capsys, tmp_path):
     assert "--restarts must be >= 1" in capsys.readouterr().err
 
 
+def test_extremal_survey_rejects_a_file_as_outdir(monkeypatch, capsys, tmp_path):
+    path = next(p for p in SCRIPTS if p.name == "run_extremal_survey.py")
+    outdir = tmp_path / "taken"
+    outdir.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--outdir", str(outdir))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--outdir" in captured.err
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_rejects_negative_seed(monkeypatch, capsys, tmp_path, path):
     monkeypatch.chdir(tmp_path)
@@ -78,6 +90,17 @@ def test_script_rejects_negative_seed(monkeypatch, capsys, tmp_path, path):
         _run(monkeypatch, path, "--seed", "-1")
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("leak", ["nan", "inf"])
+def test_device_footprints_rejects_non_finite_leak(monkeypatch, capsys, leak):
+    path = next(p for p in SCRIPTS if p.name == "run_device_footprints.py")
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--leak", leak)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--leak must be finite" in captured.err
 
 
 def test_device_footprints_flag_only_the_leak(monkeypatch, capsys):
