@@ -14,6 +14,7 @@ from pathlib import Path
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
+    MAX_RESTARTS,
     maximize_witness,
     save_search_result,
 )
@@ -32,6 +33,8 @@ def main() -> None:
         ap.error(f"--seed must be >= 0, got {args.seed}")
     if args.restarts is not None and args.restarts < 1:
         ap.error(f"--restarts must be >= 1, got {args.restarts}")
+    if args.restarts is not None and args.restarts > MAX_RESTARTS:
+        ap.error(f"--restarts {args.restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     try:
         args.outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -28,6 +28,7 @@ from .configs import (
 from .extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
+    MAX_RESTARTS,
     maximize_witness,
     save_search_result,
 )
@@ -198,8 +199,8 @@ def cmd_audit_drift(args) -> int:
 
 def cmd_optimize(args) -> int:
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
-    if restarts < 1:
-        raise ValueError(f"--restarts must be >= 1, got {restarts}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"--restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qubitcert.extremal as extremal
 from qubitcert.configs import ConfigSet, config_bloch_vectors
 from qubitcert.extremal import StrategyPoint
 
@@ -50,6 +51,17 @@ def strategy_from_config(config: ConfigSet) -> StrategyPoint:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_seesaw(monkeypatch):
+    """Make any search that reaches the see-saw fail, so a rejected restart
+    budget is known to be rejected before anything is allocated."""
+
+    def fail(*args):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(extremal, "_seesaw", fail)
 
 
 # --- JSON document fuzzing ---------------------------------------------------

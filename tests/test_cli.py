@@ -20,6 +20,7 @@ from qubitcert.cli import (
     main,
 )
 from qubitcert.configs import builtin_config, load_config, predicted_prob_matrix
+from qubitcert.extremal import MAX_RESTARTS
 from qubitcert.noise import DriftModel, drift_bound
 from qubitcert.sampling import load_record
 from qubitcert.witness import witness
@@ -496,6 +497,14 @@ def test_optimize_rejects_zero_restarts(capsys):
     assert "--restarts" in stderr
 
 
+def test_optimize_rejects_restarts_above_the_cap(capsys, no_seesaw):
+    too_many = str(MAX_RESTARTS + 1)
+    code, stdout, stderr = run(capsys, "optimize", "--dim", "4", "--restarts", too_many)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert too_many in stderr and str(MAX_RESTARTS) in stderr
+
+
 def test_optimize_requires_dim(capsys):
     code, _, _ = run(capsys, "optimize")
     assert code == EXIT_USAGE
@@ -533,8 +542,7 @@ def test_version_flag(capsys):
     assert "qubitcert" in stdout
 
 
-#: Run in a fresh interpreter: every command but optimize leaves scipy
-#: unimported, and optimize's polish imports scipy.optimize.
+#: Run in a fresh interpreter: no command imports scipy.
 _SCIPY_IMPORT_PROBE = """
 import sys
 
@@ -550,13 +558,12 @@ assert main(["simulate", "--config", "II-0", "--jobs", "2", "--shots", "100",
 assert main(["analyze", "rec.json", "--out", "scatter.csv"]) == 0
 assert main(["audit-drift", "--config", "II-0", "--drift-eps", "0.01", "--jobs", "2",
              "--trials", "2"]) == 0
-assert scipy_modules() == [], scipy_modules()[:5]
 assert main(["optimize", "--dim", "2", "--restarts", "1"]) == 0
-assert "scipy.optimize" in sys.modules
+assert scipy_modules() == [], scipy_modules()[:5]
 """
 
 
-def test_only_optimize_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

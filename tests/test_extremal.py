@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 import sympy
-from scipy.optimize import minimize as scipy_minimize
 
-import qubitcert.extremal as extremal
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
     KNOWN_MAXIMA,
+    MAX_RESTARTS,
     _SWEEPS,
     _TOL,
     _random_point,
@@ -176,24 +175,6 @@ def test_search_is_deterministic():
     assert np.array_equal(a.best_point.preparations, b.best_point.preparations)
 
 
-def test_polish_runs_through_the_module_minimize(monkeypatch):
-    """The polish calls ``qubitcert.extremal.minimize`` by its module name, so
-    patching that attribute sees every polish call and changes no result."""
-    ref = maximize_witness(3, "real", 4, seed=0)
-    calls = []
-
-    def recorder(fun, x0, **kwargs):
-        calls.append(kwargs)
-        return scipy_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(extremal, "minimize", recorder)
-    res = maximize_witness(3, "real", 4, seed=0)
-    assert [kw["method"] for kw in calls] == ["Nelder-Mead"]
-    assert res.best_W == ref.best_W
-    assert np.array_equal(res.best_point.preparations, ref.best_point.preparations)
-    assert np.array_equal(res.best_point.effects, ref.best_point.effects)
-
-
 def test_search_point_reproduces_reported_witness():
     res = maximize_witness(3, "real", restarts=10, seed=1)
     w = witness(strategy_prob_matrix(res.best_point))
@@ -260,9 +241,19 @@ def test_landscape_describes_every_restart():
     assert np.max(res.restart_W) <= res.best_W + 1e-12
 
 
-def test_restart_validation():
+def test_restart_validation(no_seesaw):
     with pytest.raises(ValueError):
         maximize_witness(2, "complex", restarts=0)
+    with pytest.raises(ValueError, match=f"{MAX_RESTARTS + 1} .*{MAX_RESTARTS}"):
+        maximize_witness(4, "complex", restarts=MAX_RESTARTS + 1)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_best_W_is_the_winning_restarts_W(d, field):
+    res = maximize_witness(d, field, restarts=10, seed=0)
+    assert res.best_W in res.restart_W.tolist()
+    assert res.best_W >= res.restart_W.max() - 1e-15
 
 
 def test_default_restart_budgets():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from qubitcert.extremal import MAX_RESTARTS
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
@@ -69,6 +71,20 @@ def test_extremal_survey_rejects_zero_restarts(monkeypatch, capsys, tmp_path):
         _run(monkeypatch, path, "--restarts", "0", "--outdir", str(tmp_path))
     assert exc.value.code == 2
     assert "--restarts must be >= 1" in capsys.readouterr().err
+
+
+def test_extremal_survey_rejects_restarts_above_the_cap(
+    monkeypatch, capsys, tmp_path, no_seesaw
+):
+    path = next(p for p in SCRIPTS if p.name == "run_extremal_survey.py")
+    too_many = str(MAX_RESTARTS + 1)
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--restarts", too_many, "--outdir", str(tmp_path))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert too_many in captured.err and str(MAX_RESTARTS) in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extremal_survey_rejects_a_file_as_outdir(monkeypatch, capsys, tmp_path):
