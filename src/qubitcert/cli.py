@@ -104,12 +104,17 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args.config)
     drift = None
     if args.drift_eps != 0.0:
-        if args.coherent_leak is not None or args.leak_lambda or args.readout_e0 or args.readout_e1:
+        rates = (args.leak_lambda, args.leak_mu, args.readout_e0, args.readout_e1)
+        if args.coherent_leak is not None or any(rates):
             raise ValueError(
-                "--drift-eps cannot be combined with other noise flags: "
+                "--drift-eps cannot be combined with other noise flags "
+                "(--coherent-leak, --leak-lambda, --leak-mu, --readout-e0/e1): "
                 "drifted matrices are re-derived from the clean gate angles"
             )
         drift = DriftModel(args.drift_eps, args.jobs, args.drift_mode)
+    if args.leak_mu and not args.leak_lambda:
+        # mu is the response of the leaked weight lambda, so alone it is a no-op
+        raise ValueError("--leak-mu has no effect without a nonzero --leak-lambda")
     if args.coherent_leak is not None:
         true_p = coherent_leak_prob_matrix(config, args.coherent_leak)
     else:
@@ -201,6 +206,9 @@ def cmd_optimize(args) -> int:
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"--restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
+    # fail before the search, not after it
+    if args.out and not Path(args.out).parent.is_dir():
+        raise OSError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
     label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")

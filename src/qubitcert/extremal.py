@@ -14,8 +14,10 @@ as it stands: a Nelder-Mead polish of that point gained at most 4.7e-14 in W
 
 All restarts ascend as one batch: stacked ``(R, 5, d)`` states,
 ``(R, 4, d, d)`` effects and ``(R, 5, 5)`` probability matrices, with batched
-adjugates and eigendecompositions.  Restart r starts from its own generator, spawned as
-(seed, r).  A sweep updates only the restarts still active; a restart freezes
+cofactors and eigendecompositions.  Each update computes only the cofactors
+it reads, column k of the adjugate (5 minors) for effect k and the first four
+entries of row j (4 minors) for preparation j, not the full 25.  Restart r
+starts from its own generator, spawned as (seed, r).  A sweep updates only the restarts still active; a restart freezes
 once its sweep-to-sweep change in W falls below 1e-14 (converged) or at the
 sweep cap.  Every per-restart operation acts on one slice at a time, so a
 restart ends at the same bits whatever the batch size.  The winner is the
@@ -201,9 +203,11 @@ def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
             break
         ps, ef, pp = psi[active], effects[active], p[active]
         for k in range(4):
-            adj = adjugate(pp)  # adj[:, j, k] = d det / d p[:, k, j]
-            # G = sum_j C_kj |psi_j><psi_j| so that tr(M G) = sum_j C_kj p_kj.
-            g = _herm(np.einsum("rj,rjd,rje->rde", adj[:, :, k], ps, ps.conj()))
+            # c[:, j] = (Adj p)[:, j, k] = d det / d p[:, k, j]: 5 of the 25
+            # cofactors.  G = sum_j C_kj |psi_j><psi_j| so that
+            # tr(M G) = sum_j C_kj p_kj.
+            c = adjugate(pp, (slice(None), k))
+            g = _herm(np.einsum("rj,rjd,rje->rde", c, ps, ps.conj()))
             lam, v = np.linalg.eigh(g)
             # Project onto the positive eigenspace, the last `rank` columns of
             # v.  Multiplying only those columns, grouped by rank, rounds
@@ -216,8 +220,8 @@ def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
                 ef[sel, k] = keep @ keep.conj().swapaxes(1, 2)
             pp[:, k] = _rows_from(ps, ef[:, k : k + 1])[:, 0]
         for j in range(5):
-            adj = adjugate(pp)
-            h = _herm(np.einsum("rk,rkde->rde", adj[:, j, :4], ef))
+            c = adjugate(pp, (j, slice(0, 4)))  # (Adj p)[:, j, :4]
+            h = _herm(np.einsum("rk,rkde->rde", c, ef))
             lam, v = np.linalg.eigh(h)
             ps[:, j] = v[:, :, -1]
             pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]

@@ -93,24 +93,36 @@ def witness(p: np.ndarray) -> float:
 
 
 _IDX = np.array([[i for i in range(5) if i != k] for k in range(5)])
-# a[..., _ROWS, _COLS][..., j, k, :, :] is a with row k and column j removed.
-_ROWS = _IDX[None, :, :, None]
-_COLS = _IDX[:, None, None, :]
-_SIGNS = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
+# a[..., _ROWS[m], _COLS[m]] is a with row k and column j removed, for the
+# minor m = _MINOR[j, k]; an entries selector indexes _MINOR, so only the
+# selected minors are gathered.
+_MINOR = np.arange(25).reshape(5, 5)
+_ROWS, _COLS = (
+    x.reshape(25, 4, 4)
+    for x in np.broadcast_arrays(_IDX[None, :, :, None], _IDX[:, None, None, :])
+)
+_SIGNS = ((-1.0) ** np.add.outer(np.arange(5), np.arange(5))).ravel()
 
 
-def adjugate(p: np.ndarray) -> np.ndarray:
+def adjugate(p: np.ndarray, entries=...) -> np.ndarray:
     """Adjugate of a 5x5 matrix, or of each matrix in a ``(..., 5, 5)`` stack:
     (Adj p)_{jk} = (-1)^{j+k} minor_{kj}.
 
-    The 25 4x4 minors are gathered with one precomputed index and reduced by
-    one batched determinant call; no division, so it is well defined for
-    singular matrices and satisfies ``p @ Adj p = det(p) * I`` identically.
+    ``entries`` selects part of the adjugate by an index of integers, slices
+    or integer arrays into its last two axes: ``adjugate(p, e)`` equals ``adjugate(p)[..., *e]`` bit for bit, but
+    only the selected minors are computed, so ``(slice(None), k)`` costs 5
+    minors instead of 25.  The default is the whole adjugate.  A selector that
+    does not index a 5x5 array raises IndexError.
+
+    The minors are gathered with one precomputed index and reduced by one
+    batched determinant call; no division, so it is well defined for singular
+    matrices and satisfies ``p @ Adj p = det(p) * I`` identically.
     """
     a = np.asarray(p, dtype=float)
     if a.shape[-2:] != (5, 5):
         raise ValueError(f"expected a (..., 5, 5) array, got shape {a.shape}")
-    return _SIGNS * np.linalg.det(a[..., _ROWS, _COLS])
+    m = _MINOR[entries]
+    return _SIGNS[m] * np.linalg.det(a[..., _ROWS[m], _COLS[m]])
 
 
 def witness_variance(p: np.ndarray, T: int) -> float:

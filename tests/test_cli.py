@@ -133,6 +133,29 @@ def test_simulate_drift_excludes_other_noise(tmp_path, capsys):
     assert "drift" in stderr
 
 
+def test_simulate_drift_excludes_leak_mu(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--drift-eps", "0.01",
+        "--leak-mu", "0.3", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--drift-eps" in stderr and "--leak-mu" in stderr
+    assert not out.exists()
+
+
+def test_simulate_rejects_leak_mu_without_leak_lambda(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--leak-mu", "0.3", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--leak-mu" in stderr and "--leak-lambda" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["-0.1", "nan"])
 def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
     out = tmp_path / "r.json"
@@ -503,6 +526,19 @@ def test_optimize_rejects_restarts_above_the_cap(capsys, no_seesaw):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert too_many in stderr and str(MAX_RESTARTS) in stderr
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_optimize_rejects_an_unwritable_out_before_the_search(
+    tmp_path, capsys, no_seesaw, parent
+):
+    (tmp_path / "a-file").write_text("")
+    out = tmp_path / parent / "result.json"
+    code, stdout, stderr = run(capsys, "optimize", "--dim", "3", "--out", str(out))
+    assert code == EXIT_IO
+    assert stdout == ""
+    assert str(out) in stderr
+    assert not (tmp_path / "missing").exists()
 
 
 def test_optimize_requires_dim(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
+import qubitcert.extremal as extremal
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
@@ -239,6 +240,30 @@ def test_landscape_describes_every_restart():
     assert np.all(convs | (n_sweeps == 40))
     res = maximize_witness(3, "real", restarts=6, seed=0)
     assert np.max(res.restart_W) <= res.best_W + 1e-12
+
+
+def test_sweep_routes_its_cofactors_through_the_module_adjugate(monkeypatch):
+    """The benchmark tracer wraps ``qubitcert.extremal.adjugate``, so every
+    cofactor the see-saw reads must come through that name: per sweep of the
+    longest restart, one column for each effect update and one row for each
+    preparation update."""
+    plain = maximize_witness(3, "real", restarts=4, seed=0)
+    calls = []
+
+    def counting(p, entries=...):
+        calls.append(entries)
+        return adjugate(p, entries)
+
+    monkeypatch.setattr(extremal, "adjugate", counting)
+    res = maximize_witness(3, "real", restarts=4, seed=0)
+    per_sweep = [(slice(None), k) for k in range(4)] + [(j, slice(0, 4)) for j in range(5)]
+    assert calls == per_sweep * int(res.restart_sweeps.max())
+    assert res.best_W == plain.best_W
+    for name in ("restart_W", "restart_sweeps", "restart_converged"):
+        assert getattr(res, name).tobytes() == getattr(plain, name).tobytes(), name
+    for name in ("preparations", "effects"):
+        a, b = getattr(res.best_point, name), getattr(plain.best_point, name)
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_restart_validation(no_seesaw):

@@ -141,6 +141,41 @@ def test_batched_adjugate_matches_per_matrix(rng):
     assert np.array_equal(adjugate(stack.reshape(7, 1, 5, 5))[:, 0], batched)
 
 
+#: the selectors the see-saw passes: column k for the effect update, the first
+#: four entries of row j for the preparation update
+SWEEP_SELECTORS = [(slice(None), k) for k in range(4)] + [
+    (j, slice(0, 4)) for j in range(5)
+]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    SWEEP_SELECTORS + [(2, 3), (slice(1, 4), slice(None)), ([0, 4], 1)],
+    ids=repr,
+)
+def test_adjugate_entries_match_the_full_adjugate(rng, entries):
+    qubit = predicted_prob_matrix(builtin_config("I-prime"))  # singular: W = 0
+    stack = np.stack([prob_matrix(random_prob_rows(rng)) for _ in range(7)])
+    for p in (stack, stack[0], qubit):
+        assert _same_bits(adjugate(p, entries), adjugate(p)[(..., *entries)])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(5, 0), (0, -6), (0, 0, 0), (slice(None), slice(None), 0), ("0",), 1.5],
+    ids=repr,
+)
+def test_adjugate_rejects_a_bad_selector(rng, entries):
+    p = prob_matrix(random_prob_rows(rng))
+    with pytest.raises((IndexError, ValueError)):
+        adjugate(p, entries)
+
+
 @pytest.mark.parametrize("shape", [(5,), (4, 5), (5, 4), (7, 5, 4), (25,)])
 def test_adjugate_rejects_non_5x5_shapes(shape):
     with pytest.raises(ValueError, match="5, 5"):
