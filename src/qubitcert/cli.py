@@ -71,6 +71,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _check_out_path(flag: str, value: str | None) -> None:
+    """Fail before the work, not after it: an output path given for ``flag``
+    must lie in an existing directory and not be a directory itself."""
+    if not value:
+        return
+    if not Path(value).parent.is_dir():
+        raise OSError(f"{flag} {value}: {Path(value).parent} is not a directory")
+    if Path(value).is_dir():
+        raise OSError(f"{flag} {value}: is a directory")
+
+
 def _resolve_config(value: str) -> ConfigSet:
     """Accept a built-in id or a path to a config JSON file."""
     if value in BUILTIN_IDS:
@@ -85,6 +96,7 @@ def _resolve_config(value: str) -> ConfigSet:
 
 
 def cmd_gen_config(args) -> int:
+    _check_out_path("--out", args.out)
     if args.id is not None:
         config = builtin_config(args.id)
     else:
@@ -101,6 +113,7 @@ def cmd_gen_config(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_out_path("--out", args.out)
     config = _resolve_config(args.config)
     drift = None
     if args.drift_eps != 0.0:
@@ -136,6 +149,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_out_path("--out", args.out)
+    _check_out_path("--svg", args.svg)
     record = load_record(args.record)
     report = analyze_record(record)
     print(render_text(report))
@@ -149,6 +164,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_audit_drift(args) -> int:
+    _check_out_path("--out", args.out)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.jobs > AUDIT_BLOCK_MEMBERS:
@@ -196,7 +212,7 @@ def cmd_audit_drift(args) -> int:
             f"({100.0 * frac:.3f}% of bound) -> {'PASS' if ok else 'FAIL'}"
         )
     if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n")
+        Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"audit CSV -> {args.out}")
     print("PASS: bound never violated" if all_ok else "FAIL: bound violated")
     return EXIT_OK if all_ok else EXIT_BOUND_VIOLATED
@@ -206,9 +222,7 @@ def cmd_optimize(args) -> int:
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"--restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
-    # fail before the search, not after it
-    if args.out and not Path(args.out).parent.is_dir():
-        raise OSError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
+    _check_out_path("--out", args.out)
     label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")

@@ -226,12 +226,14 @@ def config_from_dict(data: dict) -> ConfigSet:
 
 
 def save_config(config: ConfigSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
+    Path(path).write_text(
+        json.dumps(config_to_dict(config), indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def load_config(path: str | Path) -> ConfigSet:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_bytes())
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     return config_from_dict(data)

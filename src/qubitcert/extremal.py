@@ -362,4 +362,6 @@ def search_result_to_dict(result: SearchResult) -> dict:
 
 
 def save_search_result(result: SearchResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(search_result_to_dict(result), indent=2) + "\n")
+    Path(path).write_text(
+        json.dumps(search_result_to_dict(result), indent=2) + "\n", encoding="utf-8"
+    )

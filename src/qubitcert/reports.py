@@ -87,7 +87,7 @@ def write_scatter_csv(report: AnalysisReport, path: str | Path) -> None:
     """Per-job witness scatter (job index vs W), byte-deterministic."""
     rows = ["job_index,W"]
     rows += [f"{idx},{w!r}" for idx, w in enumerate(report.per_job_W.tolist())]
-    Path(path).write_text("\n".join(rows) + "\n")
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -184,4 +184,4 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
         f'<text x="{ml + 8}" y="{mt + 28}" fill="steelblue">pooled W {report.pooled.W:+.3e}</text>'
     )
     e.append("</svg>")
-    Path(path).write_text("\n".join(e) + "\n")
+    Path(path).write_text("\n".join(e) + "\n", encoding="utf-8")

@@ -19,12 +19,20 @@ exactly unbiased estimator of ``det p`` at any shot count — for both methods.
 What shrinks with the per-job shot count is the fluctuation scale of the
 per-job determinants (standard error ~ 1/shots per job), which is what the
 bias study below quantifies.
+
+Records are UTF-8 JSON files.  ``save_record`` formats each job's counts with
+one ``%`` format over one flat list of the counts, and ``record_from_dict``
+checks and converts every job's counts in one pass over the flattened
+document, keeping the per-job loop to name the first offending field of a
+document that pass does not accept.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -267,33 +275,26 @@ def estimator_bias_study(
 
 
 # ---------------------------------------------------------------------------
-# Record file format (JSON):
-# {"config_id": str, "device": str, "timestamp": optional str,
-#  "jobs": [{"job_id": str, "shots": int, "repetitions": int,
-#            "counts": [[[ones, shots] x 20] x repetitions]}]}
+# Record file format (UTF-8 JSON):
+# {"config_id": str, "device": str, "jobs": [{"job_id": str, "shots": int,
+#  "repetitions": int, "counts": [[[ones, shots] x 20] x repetitions]}],
+#  "timestamp": optional str}
 
 
 def record_to_dict(record: ExperimentRecord) -> dict:
-    shots = np.repeat(record.shots, record.reps)[:, None]
-    pairs = np.stack([record.ones, np.broadcast_to(shots, record.ones.shape)], axis=-1)
-    out = {
-        "config_id": record.config_id,
-        "device": record.device,
-        "jobs": [
-            {
-                "job_id": job_id,
-                "shots": job_shots,
-                "repetitions": reps,
-                "counts": counts.tolist(),
-            }
-            for job_id, job_shots, reps, counts in zip(
-                record.job_ids,
-                record.shots.tolist(),
-                record.reps.tolist(),
-                np.split(pairs, np.cumsum(record.reps)[:-1]),
-            )
-        ],
-    }
+    """The record as a JSON-ready document; ``save_record`` writes exactly
+    ``json.dumps`` of it."""
+    rows = record.ones.tolist()
+    jobs, start = [], 0
+    for job_id, shots, reps in zip(
+        record.job_ids, record.shots.tolist(), record.reps.tolist()
+    ):
+        counts = [[[ones, shots] for ones in row] for row in rows[start : start + reps]]
+        jobs.append(
+            {"job_id": job_id, "shots": shots, "repetitions": reps, "counts": counts}
+        )
+        start += reps
+    out = {"config_id": record.config_id, "device": record.device, "jobs": jobs}
     if record.timestamp is not None:
         out["timestamp"] = record.timestamp
     return out
@@ -317,7 +318,10 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     """Parse and validate a record document, naming the first offending field.
 
     Job ids must be unique, and every cell must be ``[ones, shots]`` with the
-    job's ``shots`` and ``0 <= ones <= shots``, so no cell is empty.
+    job's ``shots`` and ``0 <= ones <= shots``, so no cell is empty.  A valid
+    document is read in one pass over all jobs' counts (``_read_jobs_at_once``);
+    any other goes through the per-job loop (``_read_jobs``), which raises on
+    the first offending field.
     """
     if not isinstance(data, dict):
         raise RecordSchemaError("$", "record must be a JSON object")
@@ -329,6 +333,63 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     timestamp = data.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):
         raise RecordSchemaError("timestamp", "must be a string when present")
+    jobs = _read_jobs_at_once(raw_jobs)
+    if jobs is None:
+        jobs = _read_jobs(raw_jobs)
+    return ExperimentRecord(config_id, device, *jobs, timestamp)
+
+
+def _read_jobs_at_once(raw_jobs: list):
+    """``(job_ids, shots, reps, ones)`` of a valid, non-empty ``jobs`` list,
+    checked and converted in one pass over the flattened counts; None, never
+    an exception, for anything else.
+
+    Every count must be exactly an ``int``: numpy would silently read a float,
+    a bool or a numeric string as an integer.
+    """
+    if set(map(type, raw_jobs)) != {dict}:
+        return None
+    try:
+        ids, shots, reps, counts = zip(
+            *[(j["job_id"], j["shots"], j["repetitions"], j["counts"]) for j in raw_jobs]
+        )
+    except KeyError:
+        return None
+    if (
+        set(map(type, ids)) != {str}
+        or len(set(ids)) != len(ids)
+        or set(map(type, shots)) != {int}
+        or set(map(type, reps)) != {int}
+        or min(shots) < 1
+        or min(reps) < 1
+        or sum(map(operator.mul, shots, reps)) > _INT64_MAX
+        or set(map(type, counts)) != {list}
+        or tuple(map(len, counts)) != reps
+    ):
+        return None
+    rows = list(chain.from_iterable(counts))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {20}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(cells))
+    if set(map(type, leaves)) != {int}:
+        return None
+    try:
+        pairs = np.array(leaves, np.int64).reshape(-1, 20, 2)
+    except OverflowError:
+        return None
+    shots, reps = np.array(shots, np.int64), np.array(reps, np.int64)
+    ones, row_shots = pairs[..., 0], np.repeat(shots, reps)[:, None]
+    if np.any(pairs[..., 1] != row_shots) or np.any(ones < 0) or np.any(ones > row_shots):
+        return None
+    return ids, shots, reps, ones.copy()
+
+
+def _read_jobs(raw_jobs: list):
+    """``(job_ids, shots, reps, ones)`` of a non-empty ``jobs`` list, read job
+    by job; raises :class:`RecordSchemaError` on the first offending field."""
     first_use: dict[str, int] = {}
     all_shots, all_reps, ones = [], [], []
     total = 0  # sum(shots * reps) so far, a Python int so that it cannot wrap
@@ -392,24 +453,50 @@ def record_from_dict(data: dict) -> ExperimentRecord:
         all_shots.append(shots)
         all_reps.append(reps)
         ones.append(arr[..., 0])
-    return ExperimentRecord(
-        config_id,
-        device,
-        tuple(first_use),
-        np.array(all_shots),
-        np.array(all_reps),
-        np.concatenate(ones),
-        timestamp,
-    )
+    return tuple(first_use), np.array(all_shots), np.array(all_reps), np.concatenate(ones)
 
 
 def save_record(record: ExperimentRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(record_to_dict(record)) + "\n")
+    """Write ``json.dumps(record_to_dict(record)) + "\\n"``, byte for byte.
+
+    The counts are not built as nested lists: each job's text comes from one
+    ``%`` format with the job's shots written in, over one flat ``tolist()``
+    of ``record.ones``.  Every string goes through ``json.dumps``, so it is
+    escaped as ``json.dumps`` escapes it.
+    """
+    flat = record.ones.reshape(-1).tolist()
+    templates: dict[tuple[int, int], str] = {}
+    jobs, start = [], 0
+    for job_id, shots, reps in zip(
+        record.job_ids, record.shots.tolist(), record.reps.tolist()
+    ):
+        template = templates.get((shots, reps))
+        if template is None:
+            row = "[" + ", ".join([f"[%d, {shots}]"] * 20) + "]"
+            template = templates[shots, reps] = (
+                '{"job_id": %s, '
+                f'"shots": {shots}, "repetitions": {reps}, "counts": ['
+                + ", ".join([row] * reps)
+                + "]}"
+            )
+        stop = start + 20 * reps
+        jobs.append(template % (json.dumps(job_id), *flat[start:stop]))
+        start = stop
+    text = '{"config_id": %s, "device": %s, "jobs": [%s]' % (
+        json.dumps(record.config_id),
+        json.dumps(record.device),
+        ", ".join(jobs),
+    )
+    if record.timestamp is not None:
+        text += ', "timestamp": ' + json.dumps(record.timestamp)
+    Path(path).write_text(text + "}\n", encoding="utf-8")
 
 
 def load_record(path: str | Path) -> ExperimentRecord:
+    """Read a record file; ``json.loads`` detects its encoding (UTF-8, or
+    UTF-16/32 per RFC 8259) from the bytes, whatever the locale."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_bytes())
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise RecordSchemaError("$", f"not valid JSON: {exc}") from None
     return record_from_dict(data)

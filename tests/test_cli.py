@@ -528,19 +528,6 @@ def test_optimize_rejects_restarts_above_the_cap(capsys, no_seesaw):
     assert too_many in stderr and str(MAX_RESTARTS) in stderr
 
 
-@pytest.mark.parametrize("parent", ["missing", "a-file"])
-def test_optimize_rejects_an_unwritable_out_before_the_search(
-    tmp_path, capsys, no_seesaw, parent
-):
-    (tmp_path / "a-file").write_text("")
-    out = tmp_path / parent / "result.json"
-    code, stdout, stderr = run(capsys, "optimize", "--dim", "3", "--out", str(out))
-    assert code == EXIT_IO
-    assert stdout == ""
-    assert str(out) in stderr
-    assert not (tmp_path / "missing").exists()
-
-
 def test_optimize_requires_dim(capsys):
     code, _, _ = run(capsys, "optimize")
     assert code == EXIT_USAGE
@@ -566,6 +553,45 @@ def test_negative_seed_rejected_at_parse_time(tmp_path, capsys, monkeypatch, arg
     assert list(tmp_path.iterdir()) == []
 
 
+#: (argv before the output flag, the output flag, the first step of the work)
+_OUTPUT_FLAGS = {
+    "gen-config-out": (["gen-config", "II-0"], "--out", "builtin_config"),
+    "simulate-out": (["simulate", "--config", "II-0", "--jobs", "2"], "--out", "simulate_record"),
+    "analyze-out": (["analyze", "rec.json"], "--out", "load_record"),
+    "analyze-svg": (["analyze", "rec.json"], "--svg", "load_record"),
+    "audit-drift-out": (
+        ["audit-drift", "--config", "II-0", "--drift-eps", "0.01", "--trials", "2"],
+        "--out",
+        "generate_drift_ensemble",
+    ),
+    "optimize-out": (["optimize", "--dim", "3"], "--out", "maximize_witness"),
+}
+
+
+@pytest.mark.parametrize(
+    "out", ["missing/result", "a-file/result", "a-dir"], ids=["missing", "a-file", "a-dir"]
+)
+@pytest.mark.parametrize("command", list(_OUTPUT_FLAGS))
+def test_an_unwritable_output_fails_before_the_work(
+    tmp_path, capsys, monkeypatch, command, out
+):
+    argv, flag, first_step = _OUTPUT_FLAGS[command]
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{first_step} ran")
+
+    monkeypatch.setattr(cli, first_step, fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    code, stdout, stderr = run(capsys, *argv, flag, str(tmp_path / out))
+    assert code == EXIT_IO
+    assert stdout == ""
+    assert f"{flag} {tmp_path / out}" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+    assert list((tmp_path / "a-dir").iterdir()) == []
+
+
 def test_no_command_prints_help(capsys):
     code, stdout, _ = run(capsys)
     assert code == EXIT_USAGE
@@ -576,6 +602,37 @@ def test_version_flag(capsys):
     code, stdout, _ = run(capsys, "--version")
     assert code == EXIT_OK
     assert "qubitcert" in stdout
+
+
+def _env_with_src() -> dict:
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_every_command_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    """Under -X warn_default_encoding, any open() that falls back on the
+    locale's encoding warns, and -W error turns that warning into a failure."""
+    env = _env_with_src()
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for argv in (
+        ["gen-config", "II-0", "--out", "cfg.json"],
+        ["simulate", "--config", "cfg.json", "--jobs", "2", "--shots", "100", "--out", "rec.json"],
+        ["analyze", "rec.json", "--out", "scatter.csv", "--svg", "scatter.svg"],
+        ["audit-drift", "--config", "cfg.json", "--drift-eps", "0.01", "--jobs", "2",
+         "--trials", "2", "--out", "audit.csv"],
+        ["optimize", "--dim", "2", "--restarts", "1", "--out", "search.json"],
+    ):
+        proc = subprocess.run(
+            [*strict, "-m", "qubitcert.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, (argv[0], proc.stderr)
 
 
 #: Run in a fresh interpreter: no command imports scipy.
@@ -600,9 +657,7 @@ assert scipy_modules() == [], scipy_modules()[:5]
 
 
 def test_no_command_imports_scipy(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_IMPORT_PROBE],
         cwd=tmp_path,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
+from qubitcert import sampling
 from qubitcert.noise import DriftModel
 from qubitcert.sampling import (
     BiasStudyRow,
@@ -413,12 +416,75 @@ def test_load_record_bad_json(tmp_path):
         assert exc.value.field == "$"
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
+def test_load_record_detects_the_encoding(tmp_path, truth, encoding):
+    rec = simulate_record(truth, ExperimentPlan(2, 20, 1, seed=0))
+    path = tmp_path / "rec.json"
+    path.write_bytes(json.dumps(record_to_dict(rec)).encode(encoding))
+    assert np.array_equal(load_record(path).ones, rec.ones)
+
+
 def test_timestamp_preserved(tmp_path, truth):
     rec = simulate_record(truth, ExperimentPlan(1, 20, 1, seed=0))
     stamped = dataclasses.replace(rec, timestamp="2024-08-17T12:00:00Z")
     path = tmp_path / "t.json"
     save_record(stamped, path)
     assert load_record(path).timestamp == "2024-08-17T12:00:00Z"
+
+
+def _saved_text(record) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.json"
+        save_record(record, path)
+        return path.read_bytes().decode("utf-8")
+
+
+#: strings that json.dumps escapes: a quote, a backslash, control characters
+#: and text outside ASCII
+_AWKWARD = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Zürich Ω 量子 😀", "%d %s"]
+
+
+@pytest.mark.parametrize("text", _AWKWARD)
+def test_save_record_escapes_strings_as_json_dumps(truth, text):
+    rec = simulate_record(truth, ExperimentPlan(2, 30, 2, seed=3))
+    rec = dataclasses.replace(
+        rec, device=text, config_id=text, job_ids=(text, text + "'"), timestamp=text
+    )
+    saved = _saved_text(rec)
+    assert saved == json.dumps(record_to_dict(rec)) + "\n"
+    assert saved.isascii()
+
+
+def test_save_record_of_mixed_jobs_is_json_dumps(tmp_path, truth):
+    rec = _mixed_record(truth)
+    assert _saved_text(rec) == json.dumps(record_to_dict(rec)) + "\n"
+    save_record(rec, tmp_path / "rec.json")
+    back = load_record(tmp_path / "rec.json")
+    assert back.job_ids == rec.job_ids
+    assert np.array_equal(back.shots, rec.shots) and np.array_equal(back.reps, rec.reps)
+    assert np.array_equal(back.ones, rec.ones)
+
+
+def test_a_valid_document_never_reaches_the_per_job_loop(monkeypatch, truth):
+    doc = record_to_dict(_mixed_record(truth))
+
+    def fail(raw_jobs):
+        raise AssertionError("the per-job loop ran")
+
+    monkeypatch.setattr(sampling, "_read_jobs", fail)
+    assert np.array_equal(record_from_dict(doc).ones, _mixed_record(truth).ones)
+
+
+@pytest.mark.parametrize(
+    "leaf", [1.5, 1.0, True, "3", None, [1], 2**63, -(2**63) - 1, 2**64 + 1]
+)
+def test_a_count_numpy_would_coerce_goes_to_the_per_job_loop(leaf):
+    doc = _valid_doc()
+    doc["jobs"][0]["counts"][0][7] = [leaf, 10]
+    assert sampling._read_jobs_at_once(doc["jobs"]) is None
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field.startswith("jobs[0].counts")
 
 
 # --- fuzzing the record parser ---------------------------------------------
@@ -505,3 +571,35 @@ def test_record_from_dict_accepts_exactly_the_valid_documents(doc):
         with pytest.raises(RecordSchemaError) as err:
             record_from_dict(doc)
         assert err.value.field.split(".")[0].split("[")[0] in _TOP_FIELDS
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_save_record_writes_json_dumps_of_every_valid_document(doc):
+    if _doc_is_valid(doc):
+        rec = record_from_dict(doc)
+        assert _saved_text(rec) == json.dumps(record_to_dict(rec)) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_reading_all_jobs_at_once_matches_the_per_job_loop(doc):
+    """The one-pass read accepts exactly what the per-job loop accepts, with
+    the same arrays; anything else meets the loop's error."""
+    try:
+        rec = record_from_dict(doc)
+    except RecordSchemaError as exc:
+        if not exc.field.startswith("jobs["):
+            return  # rejected before the jobs are read
+        assert sampling._read_jobs_at_once(doc["jobs"]) is None
+        with pytest.raises(RecordSchemaError) as loop:
+            sampling._read_jobs(doc["jobs"])
+        assert (loop.value.field, str(loop.value)) == (exc.field, str(exc))
+        return
+    at_once = sampling._read_jobs_at_once(doc["jobs"])
+    loop = sampling._read_jobs(doc["jobs"])
+    assert at_once is not None
+    assert at_once[0] == loop[0] == rec.job_ids
+    for a, b, c in zip(at_once[1:], loop[1:], (rec.shots, rec.reps, rec.ones)):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b) and np.array_equal(a, c)
