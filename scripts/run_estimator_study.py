@@ -11,6 +11,7 @@ closely for equal-size jobs.
 
 import argparse
 import csv
+from pathlib import Path
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert.sampling import ExperimentPlan, estimator_bias_study
@@ -30,6 +31,11 @@ def main() -> None:
     args = ap.parse_args()
     if args.seed < 0:
         ap.error(f"--seed must be >= 0, got {args.seed}")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        ap.error(f"--out {args.out}: {out.parent} is not a directory")
+    if out.is_dir():
+        ap.error(f"--out {args.out}: is a directory")
 
     # the config, the plans and the study check their inputs before any sampling
     try:
@@ -63,7 +69,7 @@ def main() -> None:
             }
         )
 
-    with open(args.out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(out_rows[0]))
         writer.writeheader()
         writer.writerows(out_rows)

@@ -10,6 +10,7 @@ records, CSV reports, and search results are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -73,9 +74,12 @@ def _seed(text: str) -> int:
 
 def _check_out_path(flag: str, value: str | None) -> None:
     """Fail before the work, not after it: an output path given for ``flag``
-    must lie in an existing directory and not be a directory itself."""
-    if not value:
+    must be non-empty, lie in an existing directory and not be a directory
+    itself.  ``None`` means the flag was not given."""
+    if value is None:
         return
+    if not value:
+        raise OSError(f"{flag} given an empty path")
     if not Path(value).parent.is_dir():
         raise OSError(f"{flag} {value}: {Path(value).parent} is not a directory")
     if Path(value).is_dir():
@@ -101,7 +105,15 @@ def cmd_gen_config(args) -> int:
         config = builtin_config(args.id)
     else:
         config = load_config(args.config)
-    out = Path(args.out) if args.out else Path(f"{config.id}.json")
+    if args.out is None:
+        out = Path(f"{config.id}.json")
+        if out.name != f"{config.id}.json":
+            raise ValueError(
+                f"config id {config.id!r} is not a bare file name, so the default "
+                "output <id>.json would leave the working directory; give --out"
+            )
+    else:
+        out = Path(args.out)
     save_config(config, out)
     n, m = config_bloch_vectors(config)
     print(f"config {config.id!r} -> {out}")
@@ -154,10 +166,10 @@ def cmd_analyze(args) -> int:
     record = load_record(args.record)
     report = analyze_record(record)
     print(render_text(report))
-    if args.out:
+    if args.out is not None:
         write_scatter_csv(report, args.out)
         print(f"scatter CSV -> {args.out}")
-    if args.svg:
+    if args.svg is not None:
         write_scatter_svg(report, args.svg)
         print(f"scatter SVG -> {args.svg}")
     return EXIT_OK
@@ -211,7 +223,7 @@ def cmd_audit_drift(args) -> int:
             f"  {mode:12s}: max pooled |W| = {worst:.6e} "
             f"({100.0 * frac:.3f}% of bound) -> {'PASS' if ok else 'FAIL'}"
         )
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"audit CSV -> {args.out}")
     print("PASS: bound never violated" if all_ok else "FAIL: bound violated")
@@ -230,13 +242,16 @@ def cmd_optimize(args) -> int:
     print(f"best |W| = {abs(result.best_W):.12f}  (converged: {result.converged})")
     if target is not None:
         print(f"gap to target: {abs(result.best_W) - target:+.3e}")
-    if args.out:
+    if args.out is not None:
         save_search_result(result, args.out)
         print(f"search result JSON -> {args.out}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused: parsing leaves
+    no state on it, and building it costs about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="qubitcert",
         description="Determinant dimension-witness certification toolkit.",

@@ -16,13 +16,14 @@ All restarts ascend as one batch: stacked ``(R, 5, d)`` states,
 ``(R, 4, d, d)`` effects and ``(R, 5, 5)`` probability matrices, with batched
 cofactors and eigendecompositions.  Each update computes only the cofactors
 it reads, column k of the adjugate (5 minors) for effect k and the first four
-entries of row j (4 minors) for preparation j, not the full 25.  Restart r
-starts from its own generator, spawned as (seed, r).  A sweep updates only the restarts still active; a restart freezes
-once its sweep-to-sweep change in W falls below 1e-14 (converged) or at the
-sweep cap.  Every per-restart operation acts on one slice at a time, so a
-restart ends at the same bits whatever the batch size.  The winner is the
-first restart, in index order, to beat the best so far by more than 1e-15, so
-ties go to the lowest index.
+entries of row j (4 minors) for preparation j, not the full 25.  A real-field
+search runs in float64 throughout, a complex one in complex128.  Restart r
+starts from its own generator, spawned as (seed, r).  A sweep updates only the
+restarts still active; a restart freezes once its sweep-to-sweep change in W
+falls below 1e-14 (converged) or at the sweep cap.  Every per-restart
+operation acts on one slice at a time, so a restart ends at the same bits
+whatever the batch size.  The winner is the restart with the largest W, the
+lowest index on an exact tie.
 
 Known targets reproduced by the search: 0 in d=2 (identically), 27*sqrt(2)/64
 in d=3 over the reals, about 0.6319 in d=3 over the complex field, and
@@ -149,15 +150,15 @@ def strategy_prob_matrix(point: StrategyPoint) -> np.ndarray:
 
 
 def _random_point(d: int, field: str, rng) -> tuple[np.ndarray, np.ndarray]:
-    cplx = field == "complex"
+    """A random start: float64 arrays over the reals, complex128 otherwise."""
 
     def rvec(shape):
         v = rng.standard_normal(shape)
-        return v + 1j * rng.standard_normal(shape) if cplx else v + 0j
+        return v + 1j * rng.standard_normal(shape) if field == "complex" else v
 
     psi = rvec((5, d))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    effects = np.empty((4, d, d), dtype=complex)
+    effects = np.empty((4, d, d), dtype=psi.dtype)
     for k in range(4):
         # Rank-1 starts work markedly better than random-rank projectors; the
         # updates grow the rank where the ascent wants it.
@@ -170,10 +171,6 @@ def _random_point(d: int, field: str, rng) -> tuple[np.ndarray, np.ndarray]:
 def _rows_from(psi: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """p[..., k, j] = <psi_j| M_k |psi_j> over stacked states and effects."""
     return np.einsum("...jd,...kde,...je->...kj", psi.conj(), effects, psi).real
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
@@ -207,21 +204,15 @@ def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
             # cofactors.  G = sum_j C_kj |psi_j><psi_j| so that
             # tr(M G) = sum_j C_kj p_kj.
             c = adjugate(pp, (slice(None), k))
-            g = _herm(np.einsum("rj,rjd,rje->rde", c, ps, ps.conj()))
+            g = np.einsum("rj,rjd,rje->rde", c, ps, ps.conj())
             lam, v = np.linalg.eigh(g)
-            # Project onto the positive eigenspace, the last `rank` columns of
-            # v.  Multiplying only those columns, grouped by rank, rounds
-            # exactly as a one-restart update would; a product over all d
-            # columns with the rest zeroed does not, in complex arithmetic.
-            rank = np.count_nonzero(lam > 0.0, axis=1)
-            for m in np.unique(rank):
-                sel = rank == m
-                keep = v[sel, :, d - m :]
-                ef[sel, k] = keep @ keep.conj().swapaxes(1, 2)
+            # Project onto the positive eigenspace: zero the other columns of v.
+            keep = v * (lam > 0.0)[:, None, :]
+            ef[:, k] = keep @ v.conj().swapaxes(1, 2)
             pp[:, k] = _rows_from(ps, ef[:, k : k + 1])[:, 0]
         for j in range(5):
             c = adjugate(pp, (j, slice(0, 4)))  # (Adj p)[:, j, :4]
-            h = _herm(np.einsum("rk,rkde->rde", c, ef))
+            h = np.einsum("rk,rkde->rde", c, ef)
             lam, v = np.linalg.eigh(h)
             ps[:, j] = v[:, :, -1]
             pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]
@@ -250,10 +241,9 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
     Restarts draw independent starting points from generators spawned as
     (seed, restart index) and ascend as one batch, so each restart's result
     does not depend on how many others run beside it; ties break toward the
-    lowest restart index.  ``best_W`` is the winning restart's see-saw W, an
-    element of ``restart_W``, and ``best_point`` its point with the states
-    renormalized (and made real over the reals) and the effects made
-    Hermitian.  ``converged`` reports whether the winning restart's
+    lowest restart index.  ``best_W`` is the winning restart's see-saw W, the
+    largest element of ``restart_W``, and ``best_point`` its point as the
+    see-saw left it.  ``converged`` reports whether the winning restart's
     sweep-to-sweep improvement fell below 1e-14 within 500 sweeps.  The
     result also carries every restart's final W, sweep count and converged
     flag.
@@ -267,25 +257,13 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     psis, effs, ws, n_sweeps, convs = _seesaw(d, field, seed, restarts, _SWEEPS)
-    win = 0
-    for r in range(1, restarts):
-        if ws[r] > ws[win] + 1e-15:
-            win = r
-    psi, effects, w, conv = psis[win], effs[win], float(ws[win]), convs[win]
-    if field == "real":
-        psi = psi.real + 0j
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        effects = effects.real + 0j
-    # Clean tiny numerical excursions before constructing the typed point.
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    effects = _herm(effects)
-    point = StrategyPoint(psi, effects)
+    win = int(np.argmax(ws))
     return SearchResult(
-        best_W=float(w),
-        best_point=point,
+        best_W=float(ws[win]),
+        best_point=StrategyPoint(psis[win], effs[win]),
         field=field,
         restarts=restarts,
-        converged=bool(conv),
+        converged=bool(convs[win]),
         restart_W=ws,
         restart_sweeps=n_sweeps,
         restart_converged=convs,

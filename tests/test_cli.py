@@ -68,6 +68,33 @@ def test_gen_config_canonicalizes_custom_file(tmp_path, capsys):
     assert load_config(out).id == "custom"
 
 
+@pytest.mark.parametrize("config_id", ["../x", "a/b"])
+def test_gen_config_default_output_stays_in_the_working_directory(
+    tmp_path, capsys, monkeypatch, config_id
+):
+    cfg = builtin_config("II-0")
+    src = tmp_path / "in.json"
+    src.write_text(
+        json.dumps(
+            {
+                "id": config_id,
+                "preparations": [list(a) for a in cfg.preparations],
+                "measurements": [list(a) for a in cfg.measurements],
+            }
+        )
+    )
+    work = tmp_path / "work"
+    (work / "a").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    code, stdout, stderr = run(capsys, "gen-config", "--config", str(src))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--out" in stderr and repr(config_id) in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "work"]
+    assert [p.name for p in work.iterdir()] == ["a"]
+    assert list((work / "a").iterdir()) == []
+
+
 def test_gen_config_unknown_id(capsys):
     code, _, stderr = run(capsys, "gen-config", "II-9")
     assert code == EXIT_USAGE
@@ -569,7 +596,9 @@ _OUTPUT_FLAGS = {
 
 
 @pytest.mark.parametrize(
-    "out", ["missing/result", "a-file/result", "a-dir"], ids=["missing", "a-file", "a-dir"]
+    "out",
+    ["missing/result", "a-file/result", "a-dir", ""],
+    ids=["missing", "a-file", "a-dir", "empty"],
 )
 @pytest.mark.parametrize("command", list(_OUTPUT_FLAGS))
 def test_an_unwritable_output_fails_before_the_work(
@@ -584,10 +613,11 @@ def test_an_unwritable_output_fails_before_the_work(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-file").write_text("")
     (tmp_path / "a-dir").mkdir()
-    code, stdout, stderr = run(capsys, *argv, flag, str(tmp_path / out))
+    value = str(tmp_path / out) if out else ""
+    code, stdout, stderr = run(capsys, *argv, flag, value)
     assert code == EXIT_IO
     assert stdout == ""
-    assert f"{flag} {tmp_path / out}" in stderr
+    assert f"{flag} {value}" in stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
     assert list((tmp_path / "a-dir").iterdir()) == []
 
@@ -602,6 +632,32 @@ def test_version_flag(capsys):
     code, stdout, _ = run(capsys, "--version")
     assert code == EXIT_OK
     assert "qubitcert" in stdout
+
+
+def test_main_gives_the_same_result_for_the_same_argv_twice(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; reusing it leaves no trace of
+    one call in the next."""
+    monkeypatch.chdir(tmp_path)
+    argvs = [
+        ["--version"],
+        [],
+        ["optimize"],
+        ["gen-config", "II-9"],
+        ["gen-config", "II-0", "--out", "cfg.json"],
+        ["simulate", "--config", "cfg.json", "--jobs", "2", "--shots", "100", "--out", "rec.json"],
+        ["analyze", "rec.json", "--out", "scatter.csv"],
+        ["analyze", "rec.json"],
+        ["audit-drift", "--config", "II-0", "--drift-eps", "0.01", "--jobs", "2", "--trials", "2"],
+        ["optimize", "--dim", "2", "--restarts", "1"],
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    second = [run(capsys, *argv) for argv in argvs]
+    assert first == second
+    assert [code for code, _, _ in first] == [
+        EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+        EXIT_OK, EXIT_OK,
+    ]
+    assert "usage:" in first[2][2]
 
 
 def _env_with_src() -> dict:

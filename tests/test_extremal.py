@@ -197,14 +197,14 @@ def _one_restart_reference(d, field, seed, r):
         for k in range(4):
             cof = adjugate(p).T
             g = np.einsum("j,jd,je->de", cof[k], psi, psi.conj())
-            lam, v = np.linalg.eigh(0.5 * (g + g.conj().T))
-            keep = v[:, lam > 0.0]
-            effects[k] = keep @ keep.conj().T
+            lam, v = np.linalg.eigh(g)
+            keep = v * (lam > 0.0)
+            effects[k] = keep @ v.conj().T
             p[k] = rows(psi, effects[k : k + 1])[0]
         for j in range(5):
             cof = adjugate(p).T
             h = np.einsum("k,kde->de", cof[:4, j], effects)
-            lam, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+            lam, v = np.linalg.eigh(h)
             psi[j] = v[:, -1]
             p[:4, j] = rows(psi[j : j + 1], effects)[:, 0]
         w = float(np.linalg.det(p))
@@ -279,6 +279,42 @@ def test_best_W_is_the_winning_restarts_W(d, field):
     res = maximize_witness(d, field, restarts=10, seed=0)
     assert res.best_W in res.restart_W.tolist()
     assert res.best_W >= res.restart_W.max() - 1e-15
+
+
+def test_best_W_is_the_first_maximum_of_the_landscape():
+    res = maximize_witness(3, "real", restarts=12, seed=0)
+    assert res.best_W == res.restart_W.max()
+    win = res.restart_W.tolist().index(res.best_W)
+    psis, effs = _seesaw(3, "real", 0, 12, _SWEEPS)[:2]
+    assert np.array_equal(res.best_point.preparations, psis[win])
+    assert np.array_equal(res.best_point.effects, effs[win])
+
+
+def test_exact_ties_go_to_the_lowest_restart_index(monkeypatch):
+    seesaw = extremal._seesaw
+
+    def tied(*args):
+        psis, effs, ws, n_sweeps, convs = seesaw(*args)
+        ws = np.array([0.1, 0.5, 0.2, 0.5])
+        return psis, effs, ws, n_sweeps, convs
+
+    monkeypatch.setattr(extremal, "_seesaw", tied)
+    res = maximize_witness(3, "complex", restarts=4, seed=3)
+    assert res.best_W == 0.5
+    psis, effs = seesaw(3, "complex", 3, 4, _SWEEPS)[:2]
+    assert np.array_equal(res.best_point.preparations, psis[1])
+    assert np.array_equal(res.best_point.effects, effs[1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_searches_run_in_real_arithmetic(d):
+    psis, effs = _seesaw(d, "real", 0, 4, 40)[:2]
+    assert psis.dtype == effs.dtype == np.float64
+    point = maximize_witness(d, "real", restarts=4, seed=0).best_point
+    assert not point.preparations.imag.any()
+    assert not point.effects.imag.any()
+    psis, effs = _seesaw(d, "complex", 0, 4, 40)[:2]
+    assert psis.dtype == effs.dtype == np.complex128
 
 
 def test_default_restart_budgets():

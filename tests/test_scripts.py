@@ -3,7 +3,9 @@ and rejects a negative --seed, bad arguments exit 2 before any output, and
 the estimator study and the device footprints run end to end."""
 
 import csv
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,6 +45,46 @@ def test_estimator_study_writes_csv(monkeypatch, tmp_path):
     for key in ("per_job_mean", "per_job_se", "pooled_mean", "pooled_se"):
         float(row[key])
     assert float(row["per_job_se"]) > 0.0 and float(row["pooled_se"]) > 0.0
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "a-dir", ""], ids=["missing", "a-dir", "empty"])
+def test_estimator_study_rejects_an_unwritable_out_before_the_study(
+    monkeypatch, capsys, tmp_path, out
+):
+    path = next(p for p in SCRIPTS if p.name == "run_estimator_study.py")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    monkeypatch.setattr(
+        "qubitcert.sampling.estimator_bias_study",
+        lambda *args, **kwargs: pytest.fail("the study ran"),
+    )
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, path, "--out", out)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--out {out}" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["a-dir"]
+
+
+def test_estimator_study_writes_utf8_whatever_the_locale(tmp_path):
+    """Under -X warn_default_encoding, an open() that falls back on the
+    locale's encoding warns, and -W error turns that warning into a failure."""
+    path = next(p for p in SCRIPTS if p.name == "run_estimator_study.py")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path_entries = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(path), "--replications", "20", "--shots", "1000", "--out", "study.csv"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "study.csv").read_text(encoding="utf-8").startswith("shots,jobs,")
 
 
 @pytest.mark.parametrize(
