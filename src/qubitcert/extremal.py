@@ -121,13 +121,11 @@ class StrategyPoint:
 class SearchResult:
     """Best point of a search over ``field`` ("real" or "complex"), plus its
     restart landscape: per restart, the final see-saw W, the sweeps it ran and
-    whether it converged (arrays in restart order)."""
+    whether it converged (arrays in restart order).  ``best_point`` is the
+    point of the restart with the largest W, the lowest index on a tie."""
 
-    best_W: float
     best_point: StrategyPoint
     field: str
-    restarts: int
-    converged: bool
     restart_W: np.ndarray
     restart_sweeps: np.ndarray
     restart_converged: np.ndarray
@@ -137,6 +135,19 @@ class SearchResult:
             raise ValueError(
                 f"witness {self.best_W} exceeds the theoretical ceiling {W_CEILING:g}"
             )
+
+    @property
+    def best_W(self) -> float:
+        return float(self.restart_W.max())
+
+    @property
+    def restarts(self) -> int:
+        return len(self.restart_W)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the winning restart converged."""
+        return bool(self.restart_converged[np.argmax(self.restart_W)])
 
 
 def strategy_prob_matrix(point: StrategyPoint) -> np.ndarray:
@@ -258,16 +269,7 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     psis, effs, ws, n_sweeps, convs = _seesaw(d, field, seed, restarts, _SWEEPS)
     win = int(np.argmax(ws))
-    return SearchResult(
-        best_W=float(ws[win]),
-        best_point=StrategyPoint(psis[win], effs[win]),
-        field=field,
-        restarts=restarts,
-        converged=bool(convs[win]),
-        restart_W=ws,
-        restart_sweeps=n_sweeps,
-        restart_converged=convs,
-    )
+    return SearchResult(StrategyPoint(psis[win], effs[win]), field, ws, n_sweeps, convs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,16 @@ per-job determinants (standard error ~ 1/shots per job), which is what the
 bias study below quantifies.
 
 Records are UTF-8 JSON files.  ``save_record`` formats each job's counts with
-one ``%`` format over one flat list of the counts, and ``record_from_dict``
-checks and converts every job's counts in one pass over the flattened
-document, keeping the per-job loop to name the first offending field of a
-document that pass does not accept.
+one ``%`` format over one flat list of the counts.  A valid record has one
+definition: the :class:`ExperimentRecord` constructor checks the values,
+``record_from_dict`` only checks a document's shape and JSON types while it
+reshapes all counts in one pass, and a document either of them rejects is
+walked job by job only to name its first offending field.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -50,7 +50,6 @@ __all__ = [
     "estimate_pooled",
     "estimator_bias_study",
     "BiasStudyRow",
-    "record_to_dict",
     "record_from_dict",
     "save_record",
     "load_record",
@@ -101,7 +100,9 @@ class ExperimentRecord:
     Jobs are stacked in order: job ``n`` (id ``job_ids[n]``) ran ``reps[n]``
     repetitions of ``shots[n]`` shots of each of the 20 circuits and owns the
     next ``reps[n]`` rows of ``ones``, the ones-counts per circuit in
-    row-major (k, j) order.
+    row-major (k, j) order.  This constructor is the one place that checks a
+    record's values, so ``load_record`` reads back whatever ``save_record``
+    writes of a record it accepts.
     """
 
     config_id: str
@@ -116,11 +117,21 @@ class ExperimentRecord:
         job_ids = tuple(self.job_ids)
         if len(job_ids) == 0:
             raise ValueError("record must contain at least one job")
+        strings = (self.config_id, self.device, *job_ids)
+        if not all(isinstance(s, str) for s in strings) or not isinstance(
+            self.timestamp, (str, type(None))
+        ):
+            raise ValueError("config_id, device and job ids must be str, timestamp str or None")
         if len(set(job_ids)) != len(job_ids):
             raise ValueError("job ids must be unique")
-        shots = np.asarray(self.shots, dtype=np.int64)
-        reps = np.asarray(self.reps, dtype=np.int64)
-        ones = np.asarray(self.ones, dtype=np.int64)
+        arrays = []
+        for name in ("shots", "reps", "ones"):
+            arr = np.asarray(getattr(self, name))
+            kind = arr.dtype.kind
+            if kind not in "iu" or (kind == "u" and arr.size and arr.max() > _INT64_MAX):
+                raise ValueError(f"{name} must be integers within int64, got {arr.dtype}")
+            arrays.append(arr.astype(np.int64, copy=False))
+        shots, reps, ones = arrays
         if shots.shape != (len(job_ids),) or reps.shape != (len(job_ids),):
             raise ValueError("need one shots and one reps value per job")
         if np.any(shots < 1) or np.any(reps < 1):
@@ -134,7 +145,7 @@ class ExperimentRecord:
         if np.any(ones < 0) or np.any(ones > np.repeat(shots, reps)[:, None]):
             raise ValueError("need 0 <= ones <= shots in every cell")
         object.__setattr__(self, "job_ids", job_ids)
-        for name, arr in (("shots", shots), ("reps", reps), ("ones", ones)):
+        for name, arr in zip(("shots", "reps", "ones"), arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -281,33 +292,11 @@ def estimator_bias_study(
 #  "timestamp": optional str}
 
 
-def record_to_dict(record: ExperimentRecord) -> dict:
-    """The record as a JSON-ready document; ``save_record`` writes exactly
-    ``json.dumps`` of it."""
-    rows = record.ones.tolist()
-    jobs, start = [], 0
-    for job_id, shots, reps in zip(
-        record.job_ids, record.shots.tolist(), record.reps.tolist()
-    ):
-        counts = [[[ones, shots] for ones in row] for row in rows[start : start + reps]]
-        jobs.append(
-            {"job_id": job_id, "shots": shots, "repetitions": reps, "counts": counts}
-        )
-        start += reps
-    out = {"config_id": record.config_id, "device": record.device, "jobs": jobs}
-    if record.timestamp is not None:
-        out["timestamp"] = record.timestamp
-    return out
-
-
 def _require(data: dict, key: str, kind, path: str):
     if key not in data:
         raise RecordSchemaError(f"{path}{key}", "missing required field")
     value = data[key]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise RecordSchemaError(f"{path}{key}", f"must be an integer, got {value!r}")
-    elif not isinstance(value, kind):
+    if type(value) is not kind:
         raise RecordSchemaError(
             f"{path}{key}", f"must be {kind.__name__}, got {type(value).__name__}"
         )
@@ -317,11 +306,10 @@ def _require(data: dict, key: str, kind, path: str):
 def record_from_dict(data: dict) -> ExperimentRecord:
     """Parse and validate a record document, naming the first offending field.
 
-    Job ids must be unique, and every cell must be ``[ones, shots]`` with the
-    job's ``shots`` and ``0 <= ones <= shots``, so no cell is empty.  A valid
-    document is read in one pass over all jobs' counts (``_read_jobs_at_once``);
-    any other goes through the per-job loop (``_read_jobs``), which raises on
-    the first offending field.
+    Every field must have exactly its JSON type (a bool or a float is not an
+    ``int``).  ``_read_jobs_at_once`` reshapes the jobs, the constructor checks
+    the values, and a document either rejects is walked job by job
+    (``_check_jobs``) to name its first offending field.
     """
     if not isinstance(data, dict):
         raise RecordSchemaError("$", "record must be a JSON object")
@@ -331,21 +319,25 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     if len(raw_jobs) == 0:
         raise RecordSchemaError("jobs", "must contain at least one job")
     timestamp = data.get("timestamp")
-    if timestamp is not None and not isinstance(timestamp, str):
+    if timestamp is not None and type(timestamp) is not str:
         raise RecordSchemaError("timestamp", "must be a string when present")
     jobs = _read_jobs_at_once(raw_jobs)
-    if jobs is None:
-        jobs = _read_jobs(raw_jobs)
-    return ExperimentRecord(config_id, device, *jobs, timestamp)
+    problem = "not a list of well-formed jobs"
+    if jobs is not None:
+        try:
+            return ExperimentRecord(config_id, device, *jobs, timestamp)
+        except ValueError as exc:
+            problem = str(exc)
+    _check_jobs(raw_jobs)
+    raise RecordSchemaError("jobs", problem)
 
 
 def _read_jobs_at_once(raw_jobs: list):
-    """``(job_ids, shots, reps, ones)`` of a valid, non-empty ``jobs`` list,
-    checked and converted in one pass over the flattened counts; None, never
-    an exception, for anything else.
-
-    Every count must be exactly an ``int``: numpy would silently read a float,
-    a bool or a numeric string as an integer.
+    """``(job_ids, shots, reps, ones)`` of a ``jobs`` list of the record's
+    shape, reshaped in one pass over the flattened counts; None, never an
+    exception, for anything else.  It checks structure, lengths, exact types
+    (numpy would read a float, a bool or a numeric string as an integer) and
+    that every cell repeats its job's shots; values are the constructor's.
     """
     if set(map(type, raw_jobs)) != {dict}:
         return None
@@ -357,12 +349,8 @@ def _read_jobs_at_once(raw_jobs: list):
         return None
     if (
         set(map(type, ids)) != {str}
-        or len(set(ids)) != len(ids)
         or set(map(type, shots)) != {int}
         or set(map(type, reps)) != {int}
-        or min(shots) < 1
-        or min(reps) < 1
-        or sum(map(operator.mul, shots, reps)) > _INT64_MAX
         or set(map(type, counts)) != {list}
         or tuple(map(len, counts)) != reps
     ):
@@ -378,24 +366,23 @@ def _read_jobs_at_once(raw_jobs: list):
         return None
     try:
         pairs = np.array(leaves, np.int64).reshape(-1, 20, 2)
+        shots, reps = np.array(shots, np.int64), np.array(reps, np.int64)
     except OverflowError:
         return None
-    shots, reps = np.array(shots, np.int64), np.array(reps, np.int64)
-    ones, row_shots = pairs[..., 0], np.repeat(shots, reps)[:, None]
-    if np.any(pairs[..., 1] != row_shots) or np.any(ones < 0) or np.any(ones > row_shots):
+    if np.any(pairs[..., 1] != np.repeat(shots, reps)[:, None]):
         return None
-    return ids, shots, reps, ones.copy()
+    return ids, shots, reps, pairs[..., 0].copy()
 
 
-def _read_jobs(raw_jobs: list):
-    """``(job_ids, shots, reps, ones)`` of a non-empty ``jobs`` list, read job
-    by job; raises :class:`RecordSchemaError` on the first offending field."""
+def _check_jobs(raw_jobs: list) -> None:
+    """Walk a ``jobs`` list in document order and raise
+    :class:`RecordSchemaError` on its first offending field; return if there
+    is none.  Plain Python, so every value keeps its JSON type."""
     first_use: dict[str, int] = {}
-    all_shots, all_reps, ones = [], [], []
     total = 0  # sum(shots * reps) so far, a Python int so that it cannot wrap
     for idx, raw in enumerate(raw_jobs):
         path = f"jobs[{idx}]."
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise RecordSchemaError(f"jobs[{idx}]", "must be an object")
         job_id = _require(raw, "job_id", str, path)
         if job_id in first_use:
@@ -418,51 +405,31 @@ def _read_jobs(raw_jobs: list):
                 f"above {_INT64_MAX}",
             )
         counts = _require(raw, "counts", list, path)
-        try:
-            arr = np.asarray(counts)
-        except ValueError:
+        if len(counts) != reps:
             raise RecordSchemaError(
-                f"{path}counts", "must be a rectangular array of integers"
-            ) from None
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-            raise RecordSchemaError(
-                f"{path}counts", f"must be an integer array, got dtype {arr.dtype}"
+                f"{path}counts", f"must hold repetitions={reps} rows, got {len(counts)}"
             )
-        if arr.shape != (reps, 20, 2):
-            raise RecordSchemaError(
-                f"{path}counts",
-                f"must have shape [repetitions={reps}][20][2], got {list(arr.shape)}",
-            )
-        # numpy reads a boolean among integers as 0 or 1: look at those entries
-        for r, c, k in np.argwhere(arr <= 1).tolist():
-            if isinstance(counts[r][c][k], bool):
-                raise RecordSchemaError(
-                    f"{path}counts[{r}][{c}]", f"must hold integers, got {counts[r][c]!r}"
-                )
-        arr = arr.astype(np.int64)
-        bad = np.argwhere(
-            (arr[..., 1] != shots) | (arr[..., 0] < 0) | (arr[..., 0] > shots)
-        )
-        if bad.size:
-            r, c = bad[0]
-            raise RecordSchemaError(
-                f"{path}counts[{r}][{c}]",
-                f"needs [ones, shots] with shots = {shots} (the job's) and "
-                f"0 <= ones <= shots, got {arr[r, c].tolist()}",
-            )
-        all_shots.append(shots)
-        all_reps.append(reps)
-        ones.append(arr[..., 0])
-    return tuple(first_use), np.array(all_shots), np.array(all_reps), np.concatenate(ones)
+        for r, row in enumerate(counts):
+            if type(row) is not list or len(row) != 20:
+                raise RecordSchemaError(f"{path}counts[{r}]", "must be a list of 20 cells")
+            for c, cell in enumerate(row):
+                if type(cell) is not list or list(map(type, cell)) != [int, int] or not (
+                    cell[1] == shots and 0 <= cell[0] <= shots
+                ):
+                    raise RecordSchemaError(
+                        f"{path}counts[{r}][{c}]",
+                        f"needs [ones, shots] of integers with shots = {shots} (the "
+                        f"job's) and 0 <= ones <= shots, got {cell!r}",
+                    )
 
 
 def save_record(record: ExperimentRecord, path: str | Path) -> None:
-    """Write ``json.dumps(record_to_dict(record)) + "\\n"``, byte for byte.
+    """Write the record as one line of JSON in the format above, then ``\\n``.
 
-    The counts are not built as nested lists: each job's text comes from one
-    ``%`` format with the job's shots written in, over one flat ``tolist()``
-    of ``record.ones``.  Every string goes through ``json.dumps``, so it is
-    escaped as ``json.dumps`` escapes it.
+    Keys come in that order, ``timestamp`` only when set, with ``", "`` and
+    ``": "`` as separators; every string is escaped by ``json.dumps`` (so the
+    file is ASCII).  Each job's text is one ``%`` format, with the job's shots
+    written in, over one flat ``tolist()`` of ``record.ones``.
     """
     flat = record.ones.reshape(-1).tolist()
     templates: dict[tuple[int, int], str] = {}

@@ -110,3 +110,26 @@ def json_edits(draw, doc, values):
         else:
             parent[path[-1]] = draw(values)
     return doc
+
+
+# --- record documents ----------------------------------------------------------
+
+
+def record_to_dict(record) -> dict:
+    """An ``ExperimentRecord`` as the JSON document of the record format; the
+    oracle for ``save_record``, which must write exactly ``json.dumps`` of it
+    and a newline."""
+    rows = record.ones.tolist()
+    jobs, start = [], 0
+    for job_id, shots, reps in zip(
+        record.job_ids, record.shots.tolist(), record.reps.tolist()
+    ):
+        counts = [[[ones, shots] for ones in row] for row in rows[start : start + reps]]
+        jobs.append(
+            {"job_id": job_id, "shots": shots, "repetitions": reps, "counts": counts}
+        )
+        start += reps
+    out = {"config_id": record.config_id, "device": record.device, "jobs": jobs}
+    if record.timestamp is not None:
+        out["timestamp"] = record.timestamp
+    return out

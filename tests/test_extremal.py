@@ -73,15 +73,18 @@ def test_search_result_rejects_impossible_witness(rng):
     pt = strategy_from_config(builtin_config("I-second"))
     with pytest.raises(ValueError):
         SearchResult(
-            best_W=3.5,
             best_point=pt,
             field="complex",
-            restarts=1,
-            converged=True,
-            restart_W=np.array([3.5]),
-            restart_sweeps=np.array([1]),
-            restart_converged=np.array([True]),
+            restart_W=np.array([0.5, 3.5]),
+            restart_sweeps=np.array([4, 1]),
+            restart_converged=np.array([True, True]),
         )
+
+
+def test_search_result_reads_its_summary_from_the_landscape():
+    res = maximize_witness(3, "real", restarts=12, seed=1)
+    assert res.restarts == 12
+    assert res.converged is bool(res.restart_converged[np.argmax(res.restart_W)])
 
 
 # --- representation equivalence --------------------------------------------

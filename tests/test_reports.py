@@ -21,10 +21,11 @@ from qubitcert.sampling import (
     ExperimentRecord,
     RecordSchemaError,
     record_from_dict,
-    record_to_dict,
     simulate_record,
 )
 from qubitcert.witness import WitnessResult
+
+from conftest import record_to_dict
 
 
 @pytest.fixture

@@ -23,13 +23,12 @@ from qubitcert.sampling import (
     estimator_bias_study,
     load_record,
     record_from_dict,
-    record_to_dict,
     save_record,
     simulate_record,
 )
 from qubitcert.witness import prob_matrix, witness
 
-from conftest import json_edits, json_values
+from conftest import json_edits, json_values, record_to_dict
 
 
 @pytest.fixture
@@ -92,6 +91,77 @@ def test_job_record_validation():
 def test_record_requires_jobs():
     with pytest.raises(ValueError):
         ExperimentRecord("II-0", "sim", (), [], [], np.zeros((0, 20)))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"shots": [10.9]},  # once truncated to 10
+        {"reps": [True]},  # once read as 1
+        {"shots": [2**64]},  # once an OverflowError
+        {"shots": [2**63]},
+        {"reps": np.array([1.0])},
+        {"ones": np.full((1, 20), 5.7)},  # once truncated to 5
+        {"ones": np.ones((1, 20), dtype=bool)},
+        {"config_id": 3},  # once saved as a file that cannot be loaded
+        {"device": None},
+        {"job_ids": (7,)},
+        {"timestamp": 5},
+    ],
+)
+def test_record_rejects_values_it_could_not_write_back(change):
+    args = dict(config_id="II-0", device="sim", job_ids=("j",), shots=[10], reps=[1],
+                ones=np.full((1, 20), 5), timestamp=None)
+    ExperimentRecord(**args)
+    with pytest.raises(ValueError):
+        ExperimentRecord(**{**args, **change})
+
+
+#: a value of the wrong type or range for any field of a record
+_WRONG = (
+    st.booleans() | st.floats(-1, 5) | st.integers(-1, 3) | st.none()
+    | st.sampled_from([2**63 - 1, 2**63, 2**64]) | st.text(max_size=2)
+)
+
+
+@st.composite
+def _record_args(draw):
+    """ExperimentRecord arguments: a valid record's, with perhaps one argument
+    or one entry of a list argument replaced by a draw from ``_WRONG``."""
+    n = draw(st.integers(1, 3))
+    shots = draw(st.lists(st.integers(1, 3) | st.just(2**62), min_size=n, max_size=n))
+    reps = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    ones = []
+    for s, r in zip(shots, reps):
+        ones += [draw(st.lists(st.integers(0, s), min_size=20, max_size=20)) for _ in range(r)]
+    args = dict(config_id="II-0", device=draw(st.text(max_size=3)),
+                job_ids=[f"j{i}" for i in range(n)], shots=shots, reps=reps, ones=ones,
+                timestamp=draw(st.none() | st.text(max_size=3)))
+    where = draw(st.sampled_from([None, *args]))
+    if where in ("config_id", "device", "timestamp"):
+        args[where] = draw(_WRONG)
+    elif where == "ones":
+        ones[draw(st.integers(0, len(ones) - 1))][draw(st.integers(0, 19))] = draw(_WRONG)
+    elif where is not None:
+        args[where][draw(st.integers(0, n - 1))] = draw(_WRONG)
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_args())
+def test_every_record_the_constructor_accepts_saves_and_loads_back(args):
+    """save_record -> load_record -> save_record gives the same bytes for every
+    record the constructor accepts."""
+    try:
+        rec = ExperimentRecord(**args)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.json"
+        save_record(rec, path)
+        first = path.read_bytes()
+        save_record(load_record(path), path)
+        assert path.read_bytes() == first
 
 
 # --- simulation ------------------------------------------------------------
@@ -371,7 +441,7 @@ def test_schema_error_names_first_offender():
     doc["jobs"][0]["counts"][0][3] = [5.5, 10]  # non-integer
     with pytest.raises(RecordSchemaError) as err:
         record_from_dict(doc)
-    assert err.value.field == "jobs[0].counts"
+    assert err.value.field == "jobs[0].counts[0][3]"
 
     doc = _valid_doc()
     doc["jobs"][0]["counts"][0][4] = [True, 10]  # numpy would read it as 1
@@ -471,7 +541,7 @@ def test_a_valid_document_never_reaches_the_per_job_loop(monkeypatch, truth):
     def fail(raw_jobs):
         raise AssertionError("the per-job loop ran")
 
-    monkeypatch.setattr(sampling, "_read_jobs", fail)
+    monkeypatch.setattr(sampling, "_check_jobs", fail)
     assert np.array_equal(record_from_dict(doc).ones, _mixed_record(truth).ones)
 
 
@@ -487,6 +557,21 @@ def test_a_count_numpy_would_coerce_goes_to_the_per_job_loop(leaf):
     assert err.value.field.startswith("jobs[0].counts")
 
 
+def test_a_python_built_document_with_numpy_integers_is_rejected():
+    """A JSON file cannot hold a numpy integer; a document built in Python that
+    does is rejected with the field named, as a float or a bool would be."""
+    doc = _valid_doc()
+    doc["jobs"][0]["shots"] = np.int64(10)
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].shots"
+    doc = _valid_doc()
+    doc["jobs"][0]["counts"][0][2] = [np.int64(5), 10]
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].counts[0][2]"
+
+
 # --- fuzzing the record parser ---------------------------------------------
 
 _TOP_FIELDS = {"$", "config_id", "device", "jobs", "timestamp"}
@@ -494,8 +579,8 @@ _TOP_FIELDS = {"$", "config_id", "device", "jobs", "timestamp"}
 
 @st.composite
 def _documents(draw):
-    """A record document, valid but for an optional repeated job id and an
-    optional count entry at or beyond its bounds, then up to two random
+    """A record document, valid but for an optional repeated job id and up to
+    two count entries at or beyond their bounds, then up to two random
     edits."""
     jobs = []
     for n in range(draw(st.integers(1, 3))):
@@ -505,7 +590,7 @@ def _documents(draw):
         jobs.append({"job_id": f"j{n}", "shots": shots, "repetitions": reps, "counts": counts})
     if len(jobs) > 1 and draw(st.integers(0, 3)) == 0:
         jobs[-1]["job_id"] = "j0"
-    if draw(st.booleans()):  # one count entry at or beyond its bounds
+    for _ in range(draw(st.integers(0, 2))):  # count entries at or beyond their bounds
         job = draw(st.sampled_from(jobs))
         cell = job["counts"][draw(st.integers(0, job["repetitions"] - 1))][draw(st.integers(0, 19))]
         cell[draw(st.integers(0, 1))] = draw(st.booleans() | st.integers(-1, 4))
@@ -519,58 +604,71 @@ def _is_int(x):
     return type(x) is int
 
 
-def _doc_is_valid(doc) -> bool:
-    """The record schema stated in plain Python, as the fuzz test's oracle."""
+def _first_fault(doc):
+    """The record schema stated in plain Python, as the fuzz tests' oracle:
+    None for a valid document, "top" when a top-level field is at fault, or
+    else the index of the first job, in document order, that breaks it."""
     if type(doc) is not dict:
-        return False
+        return "top"
     if type(doc.get("config_id")) is not str or type(doc.get("device")) is not str:
-        return False
+        return "top"
     if doc.get("timestamp") is not None and type(doc["timestamp"]) is not str:
-        return False
+        return "top"
     jobs = doc.get("jobs")
     if type(jobs) is not list or not jobs:
-        return False
-    ids, total = [], 0
-    for job in jobs:
+        return "top"
+    ids, total = set(), 0
+    for i, job in enumerate(jobs):
         if type(job) is not dict:
-            return False
+            return i
         shots, reps, counts = job.get("shots"), job.get("repetitions"), job.get("counts")
         if type(job.get("job_id")) is not str or not (_is_int(shots) and _is_int(reps)):
-            return False
-        if not (1 <= shots < 2**63 and reps >= 1):
-            return False
+            return i
+        if job["job_id"] in ids or not (1 <= shots and reps >= 1):
+            return i
+        ids.add(job["job_id"])
         total += shots * reps
         if total >= 2**63:
-            return False
+            return i
         if type(counts) is not list or len(counts) != reps:
-            return False
+            return i
         for rep in counts:
             if type(rep) is not list or len(rep) != 20:
-                return False
+                return i
             for cell in rep:
                 if type(cell) is not list or len(cell) != 2 or not all(map(_is_int, cell)):
-                    return False
+                    return i
                 if cell[1] != shots or not 0 <= cell[0] <= shots:
-                    return False
-        ids.append(job["job_id"])
-    return len(set(ids)) == len(ids)
+                    return i
+    return None
+
+
+def _doc_is_valid(doc) -> bool:
+    return _first_fault(doc) is None
 
 
 @settings(max_examples=400, deadline=None)
 @given(_documents())
 def test_record_from_dict_accepts_exactly_the_valid_documents(doc):
-    """Every malformed document raises RecordSchemaError naming a field; every
-    valid one is accepted and written back unchanged."""
-    if _doc_is_valid(doc):
+    """Every valid document is accepted and written back unchanged; every
+    malformed one raises RecordSchemaError naming a top-level field or a field
+    of exactly its first offending job."""
+    fault = _first_fault(doc)
+    if fault is None:
         expected = dict(doc)
         if expected.get("timestamp") is None:
             expected.pop("timestamp", None)
         back = record_to_dict(record_from_dict(doc))
         assert json.dumps(back, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        return
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    if fault == "top":
+        assert err.value.field in _TOP_FIELDS
     else:
-        with pytest.raises(RecordSchemaError) as err:
-            record_from_dict(doc)
-        assert err.value.field.split(".")[0].split("[")[0] in _TOP_FIELDS
+        assert err.value.field == f"jobs[{fault}]" or err.value.field.startswith(
+            f"jobs[{fault}]."
+        )
 
 
 @settings(max_examples=400, deadline=None)
@@ -579,27 +677,3 @@ def test_save_record_writes_json_dumps_of_every_valid_document(doc):
     if _doc_is_valid(doc):
         rec = record_from_dict(doc)
         assert _saved_text(rec) == json.dumps(record_to_dict(rec)) + "\n"
-
-
-@settings(max_examples=400, deadline=None)
-@given(_documents())
-def test_reading_all_jobs_at_once_matches_the_per_job_loop(doc):
-    """The one-pass read accepts exactly what the per-job loop accepts, with
-    the same arrays; anything else meets the loop's error."""
-    try:
-        rec = record_from_dict(doc)
-    except RecordSchemaError as exc:
-        if not exc.field.startswith("jobs["):
-            return  # rejected before the jobs are read
-        assert sampling._read_jobs_at_once(doc["jobs"]) is None
-        with pytest.raises(RecordSchemaError) as loop:
-            sampling._read_jobs(doc["jobs"])
-        assert (loop.value.field, str(loop.value)) == (exc.field, str(exc))
-        return
-    at_once = sampling._read_jobs_at_once(doc["jobs"])
-    loop = sampling._read_jobs(doc["jobs"])
-    assert at_once is not None
-    assert at_once[0] == loop[0] == rec.job_ids
-    for a, b, c in zip(at_once[1:], loop[1:], (rec.shots, rec.reps, rec.ones)):
-        assert a.dtype == b.dtype == np.int64
-        assert np.array_equal(a, b) and np.array_equal(a, c)
