@@ -18,11 +18,12 @@ import math
 
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
 from qubitcert.noise import coherent_leak_prob_matrix
-from qubitcert.sampling import ExperimentPlan, estimate_per_job, estimate_pooled, simulate_record
+from qubitcert.sampling import estimate_per_job, estimate_pooled, simulate_record
 
+#: (jobs, shots, repetitions) per device
 FOOTPRINTS = {
-    "nairobi": ExperimentPlan(n_jobs=115, shots=100_000, repetitions=8),
-    "lagos": ExperimentPlan(n_jobs=60, shots=32_000, repetitions=15),
+    "nairobi": (115, 100_000, 8),
+    "lagos": (60, 32_000, 15),
 }
 
 
@@ -37,21 +38,19 @@ def main() -> None:
         ap.error(f"--leak must be finite, got {args.leak}")
 
     print(f"{'device':8s} {'config':9s} {'z clean (i/ii)':>18s} {'z leak (ii)':>12s}")
-    for device, base_plan in FOOTPRINTS.items():
-        plan = ExperimentPlan(
-            base_plan.n_jobs, base_plan.shots, base_plan.repetitions, args.seed
-        )
+    for device, footprint in FOOTPRINTS.items():
         for cid in BUILTIN_IDS:
             cfg = builtin_config(cid)
             clean = simulate_record(
-                predicted_prob_matrix(cfg), plan, config=cfg, device=device
+                predicted_prob_matrix(cfg), *footprint, args.seed, config=cfg, device=device
             )
             z_i = estimate_per_job(clean)[0].z
             z_ii = estimate_pooled(clean).z
 
             leaky = simulate_record(
                 coherent_leak_prob_matrix(cfg, args.leak),
-                plan,
+                *footprint,
+                args.seed,
                 config=cfg,
                 device=device,
             )

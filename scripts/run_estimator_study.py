@@ -14,7 +14,7 @@ import csv
 from pathlib import Path
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
-from qubitcert.sampling import ExperimentPlan, estimator_bias_study
+from qubitcert.sampling import estimator_bias_study
 
 
 def main() -> None:
@@ -37,13 +37,12 @@ def main() -> None:
     if out.is_dir():
         ap.error(f"--out {args.out}: is a directory")
 
-    # the config, the plans and the study check their inputs before any sampling
+    # the config and the study check their inputs before any sampling
     try:
         truth = predicted_prob_matrix(builtin_config(args.config))
-        plans = [
-            ExperimentPlan(args.jobs, s, 1, seed=args.seed) for s in args.shots
-        ]
-        rows = estimator_bias_study(truth, plans, replications=args.replications)
+        results = estimator_bias_study(
+            truth, args.jobs, args.shots, args.replications, args.seed
+        )
     except ValueError as exc:
         ap.error(str(exc))
 
@@ -52,20 +51,20 @@ def main() -> None:
         f"{'pooled mean':>12s} {'(se)':>10s}"
     )
     out_rows = []
-    for plan, row in zip(plans, rows):
+    for shots, (per_job, pooled) in zip(args.shots, results):
         print(
-            f"{plan.shots:8d} {row.per_job_mean:+13.3e} {row.per_job_se:10.1e} "
-            f"{row.pooled_mean:+12.3e} {row.pooled_se:10.1e}"
+            f"{shots:8d} {per_job.W:+13.3e} {per_job.sigma:10.1e} "
+            f"{pooled.W:+12.3e} {pooled.sigma:10.1e}"
         )
         out_rows.append(
             {
-                "shots": plan.shots,
-                "jobs": plan.n_jobs,
+                "shots": shots,
+                "jobs": args.jobs,
                 "replications": args.replications,
-                "per_job_mean": row.per_job_mean,
-                "per_job_se": row.per_job_se,
-                "pooled_mean": row.pooled_mean,
-                "pooled_se": row.pooled_se,
+                "per_job_mean": per_job.W,
+                "per_job_se": per_job.sigma,
+                "pooled_mean": pooled.W,
+                "pooled_se": pooled.sigma,
             }
         )
 

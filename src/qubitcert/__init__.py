@@ -32,7 +32,6 @@ from .noise import (
     generate_drift_ensemble,
 )
 from .sampling import (
-    ExperimentPlan,
     ExperimentRecord,
     estimate_per_job,
     estimate_pooled,
@@ -58,7 +57,6 @@ __all__ = [
     "coherent_leak_prob_matrix",
     "drift_bound",
     "generate_drift_ensemble",
-    "ExperimentPlan",
     "ExperimentRecord",
     "estimate_per_job",
     "estimate_pooled",

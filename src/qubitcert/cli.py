@@ -44,7 +44,6 @@ from .noise import (
 )
 from .reports import analyze_record, render_text, write_scatter_csv, write_scatter_svg
 from .sampling import (
-    ExperimentPlan,
     RecordSchemaError,
     load_record,
     save_record,
@@ -149,10 +148,12 @@ def cmd_simulate(args) -> int:
     if args.readout_e0 or args.readout_e1:
         true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
 
-    plan = ExperimentPlan(args.jobs, args.shots, args.reps, args.seed)
-    record = simulate_record(true_p, plan, drift, config=config, device=args.device)
+    record = simulate_record(
+        true_p, args.jobs, args.shots, args.reps, args.seed, drift,
+        config=config, device=args.device,
+    )
     save_record(record, args.out)
-    t = plan.total_counts
+    t = args.jobs * args.shots * args.reps
     sigma = math.sqrt(witness_variance(true_p, t))
     print(f"wrote {args.out}: {args.jobs} jobs x {args.shots} shots x {args.reps} reps")
     print(f"T = {t}")

@@ -31,6 +31,7 @@ walked job by job only to name its first offending field.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -42,14 +43,12 @@ from .noise import DriftModel, generate_drift_ensemble
 from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
-    "ExperimentPlan",
     "ExperimentRecord",
     "RecordSchemaError",
     "simulate_record",
     "estimate_per_job",
     "estimate_pooled",
     "estimator_bias_study",
-    "BiasStudyRow",
     "record_from_dict",
     "save_record",
     "load_record",
@@ -67,30 +66,20 @@ class RecordSchemaError(ValueError):
         self.field = field_path
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """Job/shot/repetition structure of one run; T = n_jobs*shots*repetitions."""
-
-    n_jobs: int
-    shots: int
-    repetitions: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("n_jobs", "shots", "repetitions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.total_counts > _INT64_MAX:
-            raise ValueError(
-                "total count n_jobs * shots * repetitions reaches "
-                f"{self.total_counts}, above {_INT64_MAX}"
-            )
-
-    @property
-    def total_counts(self) -> int:
-        return self.n_jobs * self.shots * self.repetitions
+def _check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
+    """Reject a run of ``n_jobs`` jobs of ``repetitions`` x ``shots`` shots
+    that is empty, has a negative seed, or puts more counts in a cell,
+    T = n_jobs * shots * repetitions, than int64 holds."""
+    for name, value in (("n_jobs", n_jobs), ("shots", shots), ("repetitions", repetitions)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    total = int(n_jobs) * int(shots) * int(repetitions)  # numpy integers would wrap
+    if total > _INT64_MAX:
+        raise ValueError(
+            f"total count n_jobs * shots * repetitions reaches {total}, above {_INT64_MAX}"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,11 +115,17 @@ class ExperimentRecord:
             raise ValueError("job ids must be unique")
         arrays = []
         for name in ("shots", "reps", "ones"):
-            arr = np.asarray(getattr(self, name))
+            value = getattr(self, name)
+            arr = np.asarray(value)
             kind = arr.dtype.kind
             if kind not in "iu" or (kind == "u" and arr.size and arr.max() > _INT64_MAX):
                 raise ValueError(f"{name} must be integers within int64, got {arr.dtype}")
-            arrays.append(arr.astype(np.int64, copy=False))
+            # numpy reads a bool among integers as 0 or 1; only a list can mix them
+            if not isinstance(value, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+            ):
+                raise ValueError(f"{name} must be integers within int64, got a bool")
+            arrays.append(np.array(arr, dtype=np.int64))  # own copy; the caller's stays writable
         shots, reps, ones = arrays
         if shots.shape != (len(job_ids),) or reps.shape != (len(job_ids),):
             raise ValueError("need one shots and one reps value per job")
@@ -156,46 +151,49 @@ class ExperimentRecord:
 
 def simulate_record(
     true_p: np.ndarray,
-    plan: ExperimentPlan,
+    n_jobs: int,
+    shots: int,
+    repetitions: int,
+    seed: int = 0,
     per_job_noise: DriftModel | None = None,
     *,
     config: ConfigSet | None = None,
     device: str = "simulator",
 ) -> ExperimentRecord:
-    """Draw binomial counts for every (job, repetition, circuit).
+    """Draw binomial counts for ``n_jobs`` jobs of ``repetitions`` x ``shots``
+    shots of every circuit, so that each cell holds T = n_jobs * shots *
+    repetitions counts.
 
     The record's config id is ``config.id``, or "custom" without a config.
     With ``per_job_noise`` set, each job samples from its own drifted matrix
     (generated from ``config``, which is then required, since drifted matrices
     are re-derived from the gate angles).  Each job's counts come from an
-    independent generator spawned from ``(plan.seed, job index)``, so records
-    are reproducible and independent of execution order.
+    independent generator spawned from ``(seed, job index)``, so records are
+    reproducible and independent of execution order.
     """
+    _check_run(n_jobs, shots, repetitions, seed)
     if per_job_noise is not None:
         if config is None:
             raise ValueError("per_job_noise requires the generating config")
-        if per_job_noise.n_jobs != plan.n_jobs:
+        if per_job_noise.n_jobs != n_jobs:
             raise ValueError(
-                f"per_job_noise has {per_job_noise.n_jobs} jobs but the plan has "
-                f"{plan.n_jobs}"
+                f"per_job_noise has {per_job_noise.n_jobs} jobs but the plan has {n_jobs}"
             )
-        job_ps = generate_drift_ensemble(config, per_job_noise, plan.seed)[0]
+        job_ps = generate_drift_ensemble(config, per_job_noise, seed)[0]
     else:
-        job_ps = [true_p] * plan.n_jobs
+        job_ps = [true_p] * n_jobs
 
     ones = []
-    for n in range(plan.n_jobs):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.seed, spawn_key=(n,))
-        )
+    for n in range(n_jobs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
         cells = job_ps[n][:4].reshape(20)
-        ones.append(rng.binomial(plan.shots, cells, size=(plan.repetitions, 20)))
+        ones.append(rng.binomial(shots, cells, size=(repetitions, 20)))
     return ExperimentRecord(
         config.id if config is not None else "custom",
         device,
-        tuple(f"job-{n:04d}" for n in range(plan.n_jobs)),
-        np.full(plan.n_jobs, plan.shots),
-        np.full(plan.n_jobs, plan.repetitions),
+        tuple(f"job-{n:04d}" for n in range(n_jobs)),
+        np.full(n_jobs, shots),
+        np.full(n_jobs, repetitions),
         np.concatenate(ones),
     )
 
@@ -225,31 +223,27 @@ def estimate_pooled(record: ExperimentRecord) -> WitnessResult:
     return WitnessResult(witness(p), float(np.sqrt(witness_variance(p, total))))
 
 
-@dataclass(frozen=True)
-class BiasStudyRow:
-    """Replication-averaged witness of both methods for one plan."""
-
-    plan: ExperimentPlan
-    per_job_mean: float
-    per_job_se: float
-    pooled_mean: float
-    pooled_se: float
-
-
 def estimator_bias_study(
     true_p: np.ndarray,
-    plan_grid: list[ExperimentPlan],
+    n_jobs: int,
+    shots: Sequence[int],
     replications: int = 1000,
-) -> list[BiasStudyRow]:
+    seed: int = 0,
+) -> list[tuple[WitnessResult, WitnessResult]]:
     """Replication study of both estimators on a witness-zero truth.
 
-    For each plan, draws ``replications`` complete experiments and reports the
-    mean per-job-method and pooled-method witness with standard errors.  Since
-    the determinant estimator is exactly unbiased for independently sampled
-    cells, the observed means are statistical fluctuations around zero whose
-    scale shrinks with the per-job shot count (~1/(shots*repetitions) per
-    job) — the point of the study is to quantify that scale, not a true bias.
+    For each value in ``shots``, draws ``replications`` experiments of
+    ``n_jobs`` jobs and returns ``(per_job, pooled)``: for each method, ``W``
+    is the mean witness over the replications and ``sigma`` its standard
+    error, so ``z`` is the bias t-statistic.  Since the determinant estimator
+    is exactly unbiased for independently sampled cells, the means are
+    statistical fluctuations around zero whose scale shrinks with the per-job
+    shot count (~1/shots per job); the point of the study is to quantify that
+    scale, not a true bias.  Every shots value draws from the same generator
+    seed.
     """
+    for s in shots:
+        _check_run(n_jobs, s, 1, seed)
     if replications < 2:
         raise ValueError(
             f"replications must be >= 2 for a standard error, got {replications}"
@@ -257,32 +251,20 @@ def estimator_bias_study(
     if abs(witness(true_p)) > 1e-10:
         raise ValueError("bias study requires a witness-zero truth matrix")
     cells = true_p[:4]
-    rows = []
-    for plan in plan_grid:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.seed, spawn_key=(0xB1A5,))
-        )
-        t_job = plan.shots * plan.repetitions
-        # Counts per replication and job, pooled over that job's repetitions
-        # (binomial additivity makes drawing the pooled count directly exact).
-        ones = rng.binomial(
-            t_job, cells[None, None], size=(replications, plan.n_jobs, 4, 5)
-        )
-        mats = prob_matrix(ones / t_job)
-        per_job_w = np.linalg.det(mats)  # (replications, n_jobs)
-        w_i = per_job_w.mean(axis=1)
-        pooled = mats.mean(axis=1)  # equal per-job totals -> plain mean
-        w_ii = np.linalg.det(pooled)
-        rows.append(
-            BiasStudyRow(
-                plan=plan,
-                per_job_mean=float(w_i.mean()),
-                per_job_se=float(w_i.std(ddof=1) / np.sqrt(replications)),
-                pooled_mean=float(w_ii.mean()),
-                pooled_se=float(w_ii.std(ddof=1) / np.sqrt(replications)),
-            )
-        )
-    return rows
+    results = []
+    for s in shots:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB1A5,)))
+        # Ones-counts per replication and job: repetitions would only split
+        # them, and binomial additivity makes drawing the job's total exact.
+        ones = rng.binomial(s, cells[None, None], size=(replications, n_jobs, 4, 5))
+        mats = prob_matrix(ones / s)
+        w_i = np.linalg.det(mats).mean(axis=1)
+        w_ii = np.linalg.det(mats.mean(axis=1))  # equal per-job totals -> plain mean
+        results.append(tuple(
+            WitnessResult(float(w.mean()), float(w.std(ddof=1) / np.sqrt(replications)))
+            for w in (w_i, w_ii)
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +316,8 @@ def record_from_dict(data: dict) -> ExperimentRecord:
 
 def _read_jobs_at_once(raw_jobs: list):
     """``(job_ids, shots, reps, ones)`` of a ``jobs`` list of the record's
-    shape, reshaped in one pass over the flattened counts; None, never an
+    shape, reshaped in one pass over the flattened counts (``ones`` is a view
+    that the constructor copies); None, never an
     exception, for anything else.  It checks structure, lengths, exact types
     (numpy would read a float, a bool or a numeric string as an integer) and
     that every cell repeats its job's shots; values are the constructor's.
@@ -371,7 +354,7 @@ def _read_jobs_at_once(raw_jobs: list):
         return None
     if np.any(pairs[..., 1] != np.repeat(shots, reps)[:, None]):
         return None
-    return ids, shots, reps, pairs[..., 0].copy()
+    return ids, shots, reps, pairs[..., 0]
 
 
 def _check_jobs(raw_jobs: list) -> None:

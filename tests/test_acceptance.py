@@ -28,7 +28,6 @@ from qubitcert.noise import (
     drift_bound,
 )
 from qubitcert.sampling import (
-    ExperimentPlan,
     estimate_pooled,
     estimator_bias_study,
     simulate_record,
@@ -197,16 +196,16 @@ def test_criterion_8_reference_footprint_z_scores():
     below the 5-sigma flag (the >5 sigma seen on hardware is not an artifact
     of the statistics pipeline), while a coherent leak of 0.3 blows past it."""
     t0 = time.perf_counter()
-    plan = ExperimentPlan(n_jobs=115, shots=100_000, repetitions=8, seed=11)
+    run = (115, 100_000, 8, 11)  # jobs, shots, repetitions, seed
     cfg = builtin_config("II-0")
 
     clean = simulate_record(
-        predicted_prob_matrix(cfg), plan, config=cfg, device="nairobi"
+        predicted_prob_matrix(cfg), *run, config=cfg, device="nairobi"
     )
     z_clean = estimate_pooled(clean).z
 
     leaky_p = coherent_leak_prob_matrix(cfg, 0.3)
-    leaky = simulate_record(leaky_p, plan, config=cfg, device="nairobi")
+    leaky = simulate_record(leaky_p, *run, config=cfg, device="nairobi")
     z_leak = estimate_pooled(leaky).z
 
     t = time.perf_counter() - t0
@@ -223,15 +222,10 @@ def test_criterion_9_per_job_fluctuation_ordering():
     at shots = 10^3 strictly exceeds that at shots = 10^5."""
     t0 = time.perf_counter()
     truth = predicted_prob_matrix(builtin_config("I-second"))
-    rows = estimator_bias_study(
-        truth,
-        [
-            ExperimentPlan(10, 1_000, 1, seed=7),
-            ExperimentPlan(10, 100_000, 1, seed=7),
-        ],
-        replications=1000,
+    (low, _), (high, _) = estimator_bias_study(
+        truth, 10, [1_000, 100_000], replications=1000, seed=7
     )
-    low, high = abs(rows[0].per_job_mean), abs(rows[1].per_job_mean)
+    low, high = abs(low.W), abs(high.W)
     t = time.perf_counter() - t0
     _report(
         9,

@@ -199,12 +199,12 @@ def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
     "jobs, shots", [("1", "10000000000000000000"), ("4", "4611686018427387904")]
 )
 def test_simulate_rejects_total_count_beyond_int64(tmp_path, capsys, monkeypatch, jobs, shots):
-    """The plan is rejected before any count is drawn."""
+    """The run is rejected before any count is drawn."""
 
     def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the plan was checked")
+        raise AssertionError("sampled before the run was checked")
 
-    monkeypatch.setattr(cli, "simulate_record", no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
     out = tmp_path / "r.json"
     code, stdout, stderr = run(
         capsys, "simulate", "--config", "II-0", "--jobs", jobs, "--shots", shots,

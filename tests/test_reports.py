@@ -17,7 +17,6 @@ from qubitcert.reports import (
     write_scatter_svg,
 )
 from qubitcert.sampling import (
-    ExperimentPlan,
     ExperimentRecord,
     RecordSchemaError,
     record_from_dict,
@@ -31,9 +30,7 @@ from conftest import record_to_dict
 @pytest.fixture
 def record():
     cfg = builtin_config("I-second")
-    return simulate_record(
-        predicted_prob_matrix(cfg), ExperimentPlan(8, 2000, 2, seed=13), config=cfg
-    )
+    return simulate_record(predicted_prob_matrix(cfg), 8, 2000, 2, 13, config=cfg)
 
 
 def test_report_structure(record):
@@ -63,9 +60,7 @@ def test_render_text_flags_large_z(record):
 
 def test_render_text_single_job():
     cfg = builtin_config("II-0")
-    rec = simulate_record(
-        predicted_prob_matrix(cfg), ExperimentPlan(1, 500, 1, seed=2), config=cfg
-    )
+    rec = simulate_record(predicted_prob_matrix(cfg), 1, 500, 1, 2, config=cfg)
     rep = analyze_record(rec)
     assert rep.per_job.z is None
     assert "undef" in render_text(rep)

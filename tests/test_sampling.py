@@ -14,8 +14,6 @@ from qubitcert.configs import builtin_config, predicted_prob_matrix
 from qubitcert import sampling
 from qubitcert.noise import DriftModel
 from qubitcert.sampling import (
-    BiasStudyRow,
-    ExperimentPlan,
     ExperimentRecord,
     RecordSchemaError,
     estimate_per_job,
@@ -26,7 +24,7 @@ from qubitcert.sampling import (
     save_record,
     simulate_record,
 )
-from qubitcert.witness import prob_matrix, witness
+from qubitcert.witness import WitnessResult, prob_matrix, witness
 
 from conftest import json_edits, json_values, record_to_dict
 
@@ -37,36 +35,57 @@ def truth():
 
 
 @pytest.fixture
-def small_plan():
-    return ExperimentPlan(n_jobs=4, shots=200, repetitions=3, seed=5)
+def small_run():
+    """(n_jobs, shots, repetitions, seed) of a small simulation."""
+    return 4, 200, 3, 5
 
 
 def _mixed_record(truth):
     """Three jobs of (300 shots x 1 rep, 300 x 1, 700 x 2)."""
-    a = simulate_record(truth, ExperimentPlan(2, 300, 1, seed=1))
-    b = simulate_record(truth, ExperimentPlan(1, 700, 2, seed=99))
+    a = simulate_record(truth, 2, 300, 1, 1)
+    b = simulate_record(truth, 1, 700, 2, 99)
     return ExperimentRecord(
         "I-second", "sim", ("a0", "a1", "b0"), [300, 300, 700], [1, 1, 2],
         np.concatenate([a.ones, b.ones]),
     )
 
 
-# --- plan & record containers ---------------------------------------------
+# --- run arguments & record containers ------------------------------------
 
 
-def test_plan_totals_and_validation():
-    plan = ExperimentPlan(n_jobs=115, shots=100_000, repetitions=8)
-    assert plan.total_counts == 115 * 100_000 * 8
-    with pytest.raises(ValueError):
-        ExperimentPlan(n_jobs=0, shots=1, repetitions=1)
-    with pytest.raises(ValueError):
-        ExperimentPlan(n_jobs=1, shots=0, repetitions=1)
+def test_run_arguments_validation(monkeypatch, truth):
+    """simulate_record and estimator_bias_study check their jobs, shots,
+    repetitions, seed and total count before any draw, with one message each."""
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a, **k: pytest.fail("drew before the check")
+    )
+    for args, message in [
+        ((0, 1, 1), "n_jobs must be >= 1, got 0"),
+        ((1, 0, 1), "shots must be >= 1, got 0"),
+        ((1, 1, 0), "repetitions must be >= 1, got 0"),
+        ((1, 1, 1, -1), "seed must be >= 0"),
+        ((1, 2**62, 2), f"reaches {2**63}, above {2**63 - 1}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            simulate_record(truth, *args)
+    for n_jobs, shots, message in [
+        (0, [1], "n_jobs must be >= 1, got 0"),
+        (1, [10, 0], "shots must be >= 1, got 0"),
+        (2, [2**62], f"reaches {2**63}, above {2**63 - 1}"),
+        (np.int64(2), [np.int64(2**62)], f"reaches {2**63}, above {2**63 - 1}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            estimator_bias_study(truth, n_jobs, shots, replications=2)
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        ExperimentPlan(n_jobs=1, shots=1, repetitions=1, seed=-1)
+        estimator_bias_study(truth, 1, [1], replications=2, seed=-1)
+
+
+def test_a_total_count_of_int64_max_is_accepted(truth):
     top = 2**63 - 1
-    assert ExperimentPlan(n_jobs=1, shots=top, repetitions=1).total_counts == top
-    with pytest.raises(ValueError, match=f"reaches {top + 1}, above {top}"):
-        ExperimentPlan(n_jobs=1, shots=2**62, repetitions=2)
+    rec = simulate_record(truth, 1, top, 1)
+    assert (rec.shots.tolist(), rec.reps.tolist()) == ([top], [1])
+    [(per_job, pooled)] = estimator_bias_study(truth, 1, [top], replications=2)
+    assert np.isfinite(per_job.W) and np.isfinite(pooled.W)
 
 
 def test_job_record_validation():
@@ -115,6 +134,31 @@ def test_record_rejects_values_it_could_not_write_back(change):
     ExperimentRecord(**args)
     with pytest.raises(ValueError):
         ExperimentRecord(**{**args, **change})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"shots": [10, True]},
+        {"reps": [1, np.True_]},
+        {"ones": [[0] * 20, [0] * 19 + [False]]},
+    ],
+)
+def test_record_rejects_a_bool_among_integers(change):
+    """numpy gives such a list an integer dtype, reading the bool as 0 or 1."""
+    args = dict(config_id="a", device="b", job_ids=("j", "k"), shots=[10, 1], reps=[1, 1],
+                ones=np.zeros((2, 20), int))
+    ExperimentRecord(**args)
+    with pytest.raises(ValueError, match="got a bool"):
+        ExperimentRecord(**{**args, **change})
+
+
+def test_record_holds_its_own_copy_of_the_counts():
+    shots, reps, ones = np.array([5]), np.array([1]), np.zeros((1, 20), np.int64)
+    rec = ExperimentRecord("c", "d", ("j",), shots, reps, ones)
+    shots[0], reps[0], ones[0, 0] = 6, 2, 1
+    assert (rec.shots.tolist(), rec.reps.tolist(), rec.ones[0, 0]) == ([5], [1], 0)
+    assert not any(a.flags.writeable for a in (rec.shots, rec.reps, rec.ones))
 
 
 #: a value of the wrong type or range for any field of a record
@@ -167,22 +211,22 @@ def test_every_record_the_constructor_accepts_saves_and_loads_back(args):
 # --- simulation ------------------------------------------------------------
 
 
-def test_simulation_is_deterministic(truth, small_plan):
-    a = simulate_record(truth, small_plan, config=builtin_config("I-second"))
-    b = simulate_record(truth, small_plan, config=builtin_config("I-second"))
+def test_simulation_is_deterministic(truth, small_run):
+    a = simulate_record(truth, *small_run, config=builtin_config("I-second"))
+    b = simulate_record(truth, *small_run, config=builtin_config("I-second"))
     assert a.config_id == "I-second"
     assert a.job_ids == b.job_ids
     assert np.array_equal(a.ones, b.ones)
 
 
-def test_simulation_seed_changes_counts(truth, small_plan):
-    a = simulate_record(truth, small_plan)
-    b = simulate_record(truth, ExperimentPlan(4, 200, 3, seed=6))
+def test_simulation_seed_changes_counts(truth, small_run):
+    a = simulate_record(truth, *small_run)
+    b = simulate_record(truth, 4, 200, 3, 6)
     assert not np.array_equal(a.ones, b.ones)
 
 
-def test_simulation_shapes_and_ids(truth, small_plan):
-    rec = simulate_record(truth, small_plan)
+def test_simulation_shapes_and_ids(truth, small_run):
+    rec = simulate_record(truth, *small_run)
     assert rec.job_ids == ("job-0000", "job-0001", "job-0002", "job-0003")
     assert rec.ones.shape == (4 * 3, 20)
     assert rec.shots.tolist() == [200] * 4
@@ -192,34 +236,31 @@ def test_simulation_shapes_and_ids(truth, small_plan):
 def test_degenerate_probabilities_sample_exactly():
     rows = np.zeros((4, 5))
     rows[:, 0] = 1.0
-    rec = simulate_record(
-        prob_matrix(rows), ExperimentPlan(2, 100, 2, seed=1)
-    )
+    rec = simulate_record(prob_matrix(rows), 2, 100, 2, 1)
     ones = rec.ones.reshape(4, 4, 5)
     assert np.all(ones[:, :, 0] == 100)
     assert np.all(ones[:, :, 1:] == 0)
 
 
-def test_drift_requires_config(truth, small_plan):
+def test_drift_requires_config(truth, small_run):
     with pytest.raises(ValueError, match="config"):
-        simulate_record(truth, small_plan, DriftModel(0.01, 4))
+        simulate_record(truth, *small_run, DriftModel(0.01, 4))
 
 
 @pytest.mark.parametrize("drift_jobs", [3, 10])
 def test_drift_job_count_must_match_plan(truth, drift_jobs):
     """Too many drifted matrices were once silently cut, too few an IndexError."""
-    plan = ExperimentPlan(5, 100, 1, seed=2)
     with pytest.raises(ValueError, match=f"{drift_jobs} jobs but the plan has 5"):
         simulate_record(
-            truth, plan, DriftModel(0.02, drift_jobs), config=builtin_config("II-0")
+            truth, 5, 100, 1, 2, DriftModel(0.02, drift_jobs), config=builtin_config("II-0")
         )
 
 
-def test_drift_simulation_runs(small_plan):
+def test_drift_simulation_runs(small_run):
     cfg = builtin_config("II-0")
     rec = simulate_record(
         predicted_prob_matrix(cfg),
-        small_plan,
+        *small_run,
         DriftModel(0.02, 4, "column-mix"),
         config=cfg,
     )
@@ -271,7 +312,7 @@ def test_per_job_witnesses_match_per_job_loop(truth):
 
 
 def test_single_job_stderr_is_none(truth):
-    rec = simulate_record(truth, ExperimentPlan(1, 500, 2, seed=3))
+    rec = simulate_record(truth, 1, 500, 2, 3)
     est, per_job_W = estimate_per_job(rec)
     assert est.sigma is None
     assert est.z is None
@@ -279,7 +320,7 @@ def test_single_job_stderr_is_none(truth):
 
 
 def test_estimates_concentrate_near_truth(truth):
-    rec = simulate_record(truth, ExperimentPlan(10, 4000, 5, seed=17))
+    rec = simulate_record(truth, 10, 4000, 5, 17)
     est_i, _ = estimate_per_job(rec)
     est_ii = estimate_pooled(rec)
     # truth is witness-zero; both should sit within a few sigma of zero
@@ -290,7 +331,7 @@ def test_estimates_concentrate_near_truth(truth):
 def test_pooled_stderr_matches_variance_formula(truth):
     from qubitcert.witness import witness_variance
 
-    rec = simulate_record(truth, ExperimentPlan(6, 1000, 2, seed=8))
+    rec = simulate_record(truth, 6, 1000, 2, 8)
     est = estimate_pooled(rec)
     p = prob_matrix((rec.ones.sum(axis=0) / 12_000).reshape(4, 5))
     assert est.sigma == pytest.approx(
@@ -317,7 +358,7 @@ def test_pooled_handles_unequal_job_sizes(truth):
 
 def test_empty_cell_job_rejected(truth):
     """A job whose cells report 0 shots is rejected, naming its first cell."""
-    good = record_to_dict(simulate_record(truth, ExperimentPlan(3, 100, 2, seed=4)))
+    good = record_to_dict(simulate_record(truth, 3, 100, 2, 4))
     good["jobs"].append(
         {"job_id": "job-bad", "shots": 100, "repetitions": 2,
          "counts": [[[0, 0]] * 20] * 2}
@@ -344,42 +385,44 @@ def test_all_jobs_empty_raises():
 def test_bias_study_rejects_nonzero_truth(rng):
     rows = rng.uniform(0.2, 0.8, (4, 5))
     with pytest.raises(ValueError):
-        estimator_bias_study(
-            prob_matrix(rows), [ExperimentPlan(2, 100, 1)], replications=10
-        )
+        estimator_bias_study(prob_matrix(rows), 2, [100], replications=10)
 
 
 def test_bias_study_shapes_and_fluctuation_scaling(truth):
-    plans = [
-        ExperimentPlan(5, 1_000, 1, seed=7),
-        ExperimentPlan(5, 100_000, 1, seed=7),
-    ]
-    rows = estimator_bias_study(truth, plans, replications=300)
-    assert len(rows) == 2
-    assert all(isinstance(r, BiasStudyRow) for r in rows)
+    results = estimator_bias_study(truth, 5, [1_000, 100_000], replications=300, seed=7)
+    assert len(results) == 2
+    assert all(
+        len(pair) == 2 and all(type(r) is WitnessResult for r in pair) for pair in results
+    )
     # fluctuation scale of the per-job mean shrinks with shots (here 100x
     # more shots -> 10x smaller standard error, so well separated)
-    assert rows[1].per_job_se < rows[0].per_job_se / 3
+    assert results[1][0].sigma < results[0][0].sigma / 3
     # both methods are unbiased: means within 5 standard errors of zero
-    for r in rows:
-        assert abs(r.per_job_mean) < 5 * r.per_job_se
-        assert abs(r.pooled_mean) < 5 * r.pooled_se
+    for pair in results:
+        for r in pair:
+            assert abs(r.z) < 5
 
 
 def test_bias_study_deterministic(truth):
-    plans = [ExperimentPlan(3, 500, 1, seed=11)]
-    a = estimator_bias_study(truth, plans, replications=50)
-    b = estimator_bias_study(truth, plans, replications=50)
-    assert a[0].per_job_mean == b[0].per_job_mean
-    assert a[0].pooled_mean == b[0].pooled_mean
+    a = estimator_bias_study(truth, 3, [500], replications=50, seed=11)
+    b = estimator_bias_study(truth, 3, [500], replications=50, seed=11)
+    assert a == b
+
+
+def test_bias_study_reproduces_its_recorded_draws(truth):
+    """The floats the study gave, for this call, before it returned
+    WitnessResults: every draw and every reduction is unchanged."""
+    [(per_job, pooled)] = estimator_bias_study(truth, 10, [1000], replications=50, seed=7)
+    assert per_job == WitnessResult(-0.0004903848268060097, 0.0005294961558075103)
+    assert pooled == WitnessResult(-0.0004853352076946897, 0.0005283960901313361)
 
 
 # --- record file format ----------------------------------------------------
 
 
-def test_record_round_trip(tmp_path, truth, small_plan):
+def test_record_round_trip(tmp_path, truth, small_run):
     rec = simulate_record(
-        truth, small_plan, config=builtin_config("I-second"), device="simulator"
+        truth, *small_run, config=builtin_config("I-second"), device="simulator"
     )
     path = tmp_path / "rec.json"
     save_record(rec, path)
@@ -394,7 +437,7 @@ def test_record_round_trip(tmp_path, truth, small_plan):
 
 
 def test_record_dict_structure(truth):
-    rec = simulate_record(truth, ExperimentPlan(2, 50, 1, seed=2))
+    rec = simulate_record(truth, 2, 50, 1, 2)
     d = record_to_dict(rec)
     assert set(d) == {"config_id", "device", "jobs"}
     assert len(d["jobs"]) == 2
@@ -488,14 +531,14 @@ def test_load_record_bad_json(tmp_path):
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
 def test_load_record_detects_the_encoding(tmp_path, truth, encoding):
-    rec = simulate_record(truth, ExperimentPlan(2, 20, 1, seed=0))
+    rec = simulate_record(truth, 2, 20, 1, 0)
     path = tmp_path / "rec.json"
     path.write_bytes(json.dumps(record_to_dict(rec)).encode(encoding))
     assert np.array_equal(load_record(path).ones, rec.ones)
 
 
 def test_timestamp_preserved(tmp_path, truth):
-    rec = simulate_record(truth, ExperimentPlan(1, 20, 1, seed=0))
+    rec = simulate_record(truth, 1, 20, 1, 0)
     stamped = dataclasses.replace(rec, timestamp="2024-08-17T12:00:00Z")
     path = tmp_path / "t.json"
     save_record(stamped, path)
@@ -516,7 +559,7 @@ _AWKWARD = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Zürich Ω
 
 @pytest.mark.parametrize("text", _AWKWARD)
 def test_save_record_escapes_strings_as_json_dumps(truth, text):
-    rec = simulate_record(truth, ExperimentPlan(2, 30, 2, seed=3))
+    rec = simulate_record(truth, 2, 30, 2, 3)
     rec = dataclasses.replace(
         rec, device=text, config_id=text, job_ids=(text, text + "'"), timestamp=text
     )
