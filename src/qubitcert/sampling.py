@@ -20,12 +20,14 @@ What shrinks with the per-job shot count is the fluctuation scale of the
 per-job determinants (standard error ~ 1/shots per job), which is what the
 bias study below quantifies.
 
-Records are UTF-8 JSON files.  ``save_record`` formats each job's counts with
-one ``%`` format over one flat list of the counts.  A valid record has one
-definition: the :class:`ExperimentRecord` constructor checks the values,
-``record_from_dict`` only checks a document's shape and JSON types while it
-reshapes all counts in one pass, and a document either of them rejects is
-walked job by job only to name its first offending field.
+Records are UTF-8 JSON files.  ``save_record`` writes format 2, where each
+job's counts are one flat list of ones-counts and its shots appear once;
+``load_record`` also reads format 1, where every cell repeats the job's
+shots as ``[ones, shots]``.  A valid record has one definition: the
+:class:`ExperimentRecord` constructor checks the values, ``record_from_dict``
+only checks a document's shape and JSON types while it flattens the counts of
+either format in one pass, and a document either of them rejects is walked
+job by job only to name its first offending field.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def simulate_record(
             raise ValueError("per_job_noise requires the generating config")
         if per_job_noise.n_jobs != n_jobs:
             raise ValueError(
-                f"per_job_noise has {per_job_noise.n_jobs} jobs but the plan has {n_jobs}"
+                f"per_job_noise has {per_job_noise.n_jobs} jobs but n_jobs is {n_jobs}"
             )
         job_ps = generate_drift_ensemble(config, per_job_noise, seed)[0]
     else:
@@ -242,7 +244,9 @@ def estimator_bias_study(
     scale, not a true bias.  Every shots value draws from the same generator
     seed.
     """
-    for s in shots:
+    if len(shots) == 0:
+        raise ValueError("shots must hold at least one shot count")
+    for s in shots:  # the first pass also checks n_jobs and seed
         _check_run(n_jobs, s, 1, seed)
     if replications < 2:
         raise ValueError(
@@ -268,10 +272,13 @@ def estimator_bias_study(
 
 
 # ---------------------------------------------------------------------------
-# Record file format (UTF-8 JSON):
-# {"config_id": str, "device": str, "jobs": [{"job_id": str, "shots": int,
-#  "repetitions": int, "counts": [[[ones, shots] x 20] x repetitions]}],
+# Record file format (UTF-8 JSON).  Format 2, the one save_record writes:
+# {"format": 2, "config_id": str, "device": str, "jobs": [{"job_id": str,
+#  "shots": int, "repetitions": int, "ones": [repetitions x 20 ints]}],
 #  "timestamp": optional str}
+# with each job's ones-counts repetition-major, circuits row-major.  Format 1,
+# read but never written, has no "format" key, and each job holds "counts":
+# [[[ones, shots] x 20] x repetitions] in place of "ones".
 
 
 def _require(data: dict, key: str, kind, path: str):
@@ -286,7 +293,8 @@ def _require(data: dict, key: str, kind, path: str):
 
 
 def record_from_dict(data: dict) -> ExperimentRecord:
-    """Parse and validate a record document, naming the first offending field.
+    """Parse and validate a record document of either format, naming the
+    first offending field.
 
     Every field must have exactly its JSON type (a bool or a float is not an
     ``int``).  ``_read_jobs_at_once`` reshapes the jobs, the constructor checks
@@ -295,6 +303,9 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     """
     if not isinstance(data, dict):
         raise RecordSchemaError("$", "record must be a JSON object")
+    fmt = data.get("format", 1)
+    if "format" in data and (type(fmt) is not int or fmt != 2):
+        raise RecordSchemaError("format", f"must be 2 (format 1 has no format key), got {fmt!r}")
     config_id = _require(data, "config_id", str, "")
     device = _require(data, "device", str, "")
     raw_jobs = _require(data, "jobs", list, "")
@@ -303,30 +314,31 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     timestamp = data.get("timestamp")
     if timestamp is not None and type(timestamp) is not str:
         raise RecordSchemaError("timestamp", "must be a string when present")
-    jobs = _read_jobs_at_once(raw_jobs)
+    jobs = _read_jobs_at_once(raw_jobs, fmt)
     problem = "not a list of well-formed jobs"
     if jobs is not None:
         try:
             return ExperimentRecord(config_id, device, *jobs, timestamp)
         except ValueError as exc:
             problem = str(exc)
-    _check_jobs(raw_jobs)
+    _check_jobs(raw_jobs, fmt)
     raise RecordSchemaError("jobs", problem)
 
 
-def _read_jobs_at_once(raw_jobs: list):
-    """``(job_ids, shots, reps, ones)`` of a ``jobs`` list of the record's
-    shape, reshaped in one pass over the flattened counts (``ones`` is a view
-    that the constructor copies); None, never an
-    exception, for anything else.  It checks structure, lengths, exact types
-    (numpy would read a float, a bool or a numeric string as an integer) and
-    that every cell repeats its job's shots; values are the constructor's.
+def _read_jobs_at_once(raw_jobs: list, fmt: int):
+    """``(job_ids, shots, reps, ones)`` of a ``jobs`` list of format ``fmt``,
+    reshaped in one pass over the flattened counts; None, never an exception,
+    for anything else.  It checks structure, lengths and exact types (numpy
+    would read a float, a bool or a numeric string as an integer), and in
+    format 1 that every cell repeats its job's shots; values are the
+    constructor's.
     """
     if set(map(type, raw_jobs)) != {dict}:
         return None
+    key = "ones" if fmt == 2 else "counts"
     try:
         ids, shots, reps, counts = zip(
-            *[(j["job_id"], j["shots"], j["repetitions"], j["counts"]) for j in raw_jobs]
+            *[(j["job_id"], j["shots"], j["repetitions"], j[key]) for j in raw_jobs]
         )
     except KeyError:
         return None
@@ -335,30 +347,40 @@ def _read_jobs_at_once(raw_jobs: list):
         or set(map(type, shots)) != {int}
         or set(map(type, reps)) != {int}
         or set(map(type, counts)) != {list}
-        or tuple(map(len, counts)) != reps
     ):
         return None
-    rows = list(chain.from_iterable(counts))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {20}:
-        return None
-    cells = list(chain.from_iterable(rows))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-        return None
-    leaves = list(chain.from_iterable(cells))
+    if fmt == 2:
+        if any("counts" in j for j in raw_jobs) or tuple(map(len, counts)) != tuple(
+            20 * r for r in reps
+        ):
+            return None
+        leaves = list(chain.from_iterable(counts))
+    else:
+        if tuple(map(len, counts)) != reps:
+            return None
+        rows = list(chain.from_iterable(counts))
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {20}:
+            return None
+        cells = list(chain.from_iterable(rows))
+        if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+            return None
+        pairs = list(chain.from_iterable(cells))
+        leaves, echoes = pairs[0::2], pairs[1::2]
+        if set(map(type, echoes)) != {int} or echoes != [
+            s for s, r in zip(shots, reps) for _ in range(20 * r)
+        ]:
+            return None
     if set(map(type, leaves)) != {int}:
         return None
     try:
-        pairs = np.array(leaves, np.int64).reshape(-1, 20, 2)
-        shots, reps = np.array(shots, np.int64), np.array(reps, np.int64)
+        arrays = [np.array(v, np.int64) for v in (shots, reps, leaves)]
     except OverflowError:
         return None
-    if np.any(pairs[..., 1] != np.repeat(shots, reps)[:, None]):
-        return None
-    return ids, shots, reps, pairs[..., 0]
+    return ids, arrays[0], arrays[1], arrays[2].reshape(-1, 20)
 
 
-def _check_jobs(raw_jobs: list) -> None:
-    """Walk a ``jobs`` list in document order and raise
+def _check_jobs(raw_jobs: list, fmt: int) -> None:
+    """Walk a ``jobs`` list of format ``fmt`` in document order and raise
     :class:`RecordSchemaError` on its first offending field; return if there
     is none.  Plain Python, so every value keeps its JSON type."""
     first_use: dict[str, int] = {}
@@ -387,6 +409,9 @@ def _check_jobs(raw_jobs: list) -> None:
                 f"total count sum(shots * repetitions) reaches {total}, "
                 f"above {_INT64_MAX}",
             )
+        if fmt == 2:
+            _check_ones(raw, path, shots, reps)
+            continue
         counts = _require(raw, "counts", list, path)
         if len(counts) != reps:
             raise RecordSchemaError(
@@ -406,40 +431,46 @@ def _check_jobs(raw_jobs: list) -> None:
                     )
 
 
-def save_record(record: ExperimentRecord, path: str | Path) -> None:
-    """Write the record as one line of JSON in the format above, then ``\\n``.
+def _check_ones(raw: dict, path: str, shots: int, reps: int) -> None:
+    """Raise on the first offending field of a format-2 job's counts."""
+    if "counts" in raw:
+        raise RecordSchemaError(f"{path}counts", "not a format-2 field: counts go in ones")
+    ones = _require(raw, "ones", list, path)
+    if len(ones) != 20 * reps:
+        raise RecordSchemaError(
+            f"{path}ones",
+            f"must hold 20 x repetitions={reps} = {20 * reps} counts, got {len(ones)}",
+        )
+    for c, n in enumerate(ones):
+        if type(n) is not int or not 0 <= n <= shots:
+            raise RecordSchemaError(
+                f"{path}ones[{c}]",
+                f"needs an integer with 0 <= ones <= shots = {shots} (the job's), got {n!r}",
+            )
 
-    Keys come in that order, ``timestamp`` only when set, with ``", "`` and
-    ``": "`` as separators; every string is escaped by ``json.dumps`` (so the
-    file is ASCII).  Each job's text is one ``%`` format, with the job's shots
-    written in, over one flat ``tolist()`` of ``record.ones``.
+
+def save_record(record: ExperimentRecord, path: str | Path) -> None:
+    """Write the record as one line of JSON in format 2, then ``\\n``.
+
+    Keys come in the order above, ``timestamp`` only when set, with ``", "``
+    and ``": "`` as separators; every string is escaped by ``json.dumps`` (so
+    the file is ASCII).  Each job's ``ones`` is its slice of one flat
+    ``tolist()`` of ``record.ones``, and the document is one ``json.dumps``.
     """
     flat = record.ones.reshape(-1).tolist()
-    templates: dict[tuple[int, int], str] = {}
     jobs, start = [], 0
     for job_id, shots, reps in zip(
         record.job_ids, record.shots.tolist(), record.reps.tolist()
     ):
-        template = templates.get((shots, reps))
-        if template is None:
-            row = "[" + ", ".join([f"[%d, {shots}]"] * 20) + "]"
-            template = templates[shots, reps] = (
-                '{"job_id": %s, '
-                f'"shots": {shots}, "repetitions": {reps}, "counts": ['
-                + ", ".join([row] * reps)
-                + "]}"
-            )
         stop = start + 20 * reps
-        jobs.append(template % (json.dumps(job_id), *flat[start:stop]))
+        jobs.append(
+            {"job_id": job_id, "shots": shots, "repetitions": reps, "ones": flat[start:stop]}
+        )
         start = stop
-    text = '{"config_id": %s, "device": %s, "jobs": [%s]' % (
-        json.dumps(record.config_id),
-        json.dumps(record.device),
-        ", ".join(jobs),
-    )
+    doc = {"format": 2, "config_id": record.config_id, "device": record.device, "jobs": jobs}
     if record.timestamp is not None:
-        text += ', "timestamp": ' + json.dumps(record.timestamp)
-    Path(path).write_text(text + "}\n", encoding="utf-8")
+        doc["timestamp"] = record.timestamp
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_record(path: str | Path) -> ExperimentRecord:

@@ -116,20 +116,30 @@ def json_edits(draw, doc, values):
 
 
 def record_to_dict(record) -> dict:
-    """An ``ExperimentRecord`` as the JSON document of the record format; the
-    oracle for ``save_record``, which must write exactly ``json.dumps`` of it
-    and a newline."""
+    """An ``ExperimentRecord`` as a format-2 record document; the oracle for
+    ``save_record``, which must write exactly ``json.dumps`` of it and a
+    newline."""
     rows = record.ones.tolist()
     jobs, start = [], 0
     for job_id, shots, reps in zip(
         record.job_ids, record.shots.tolist(), record.reps.tolist()
     ):
-        counts = [[[ones, shots] for ones in row] for row in rows[start : start + reps]]
-        jobs.append(
-            {"job_id": job_id, "shots": shots, "repetitions": reps, "counts": counts}
-        )
+        ones = [n for row in rows[start : start + reps] for n in row]
+        jobs.append({"job_id": job_id, "shots": shots, "repetitions": reps, "ones": ones})
         start += reps
-    out = {"config_id": record.config_id, "device": record.device, "jobs": jobs}
+    out = {"format": 2, "config_id": record.config_id, "device": record.device, "jobs": jobs}
     if record.timestamp is not None:
         out["timestamp"] = record.timestamp
     return out
+
+
+def record_to_v1_dict(record) -> dict:
+    """An ``ExperimentRecord`` as a format-1 record document, as format 1 was
+    written: no ``format`` key, and each job's ``counts`` a list of 20
+    ``[ones, shots]`` cells per repetition."""
+    doc = record_to_dict(record)
+    del doc["format"]
+    for job in doc["jobs"]:
+        ones, shots = job.pop("ones"), job["shots"]
+        job["counts"] = [[[n, shots] for n in ones[i : i + 20]] for i in range(0, len(ones), 20)]
+    return doc

@@ -28,6 +28,8 @@ from qubitcert.witness import witness
 from drift_reference import reference_ensemble, reference_worst
 
 
+DATA = Path(__file__).parent / "data"
+
 #: JSON files json.loads cannot decode: nesting deep enough to exhaust the
 #: decoder's recursion, and bytes that are not UTF-8.
 UNDECODABLE = [b"[" * 100_000, b"\xff\xfe{"]
@@ -335,11 +337,11 @@ def test_analyze_schema_violation(tmp_path, capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(rec.read_text())
-    doc["jobs"][0]["counts"][0][3] = [99, 20]  # ones > shots
+    doc["jobs"][0]["ones"][3] = 99  # ones > shots
     rec.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "analyze", str(rec))
     assert code == EXIT_SCHEMA
-    assert "jobs[0].counts[0][3]" in stderr
+    assert "jobs[0].ones[3]" in stderr
 
 
 def test_analyze_rejects_duplicate_job_ids(tmp_path, capsys):
@@ -369,7 +371,7 @@ def test_analyze_rejects_total_count_beyond_int64(tmp_path, capsys):
     doc = json.loads(rec.read_text())
     huge = [
         {"job_id": f"huge-{n}", "shots": 2**62, "repetitions": 1,
-         "counts": [[[0, 2**62]] * 20]}
+         "ones": [0] * 20}
         for n in range(4)
     ]
     doc["jobs"] = huge + doc["jobs"]
@@ -378,6 +380,72 @@ def test_analyze_rejects_total_count_beyond_int64(tmp_path, capsys):
     assert code == EXIT_SCHEMA
     assert "jobs[1].shots" in stderr
     assert "PASS" not in stdout
+
+
+def _analyze_in(capsys, monkeypatch, where, record):
+    """stdout, CSV and SVG of ``analyze record`` run in the directory ``where``."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code, stdout, _ = run(capsys, "analyze", str(record), "--out", "s.csv", "--svg", "s.svg")
+    assert code == EXIT_OK
+    return stdout, (where / "s.csv").read_bytes(), (where / "s.svg").read_bytes()
+
+
+def test_analyze_gives_the_same_bytes_for_both_record_formats(tmp_path, capsys, monkeypatch):
+    """The pinned record, mixed shots and repetitions, in format 1 (as written
+    before format 2) and in format 2."""
+    v1 = _analyze_in(capsys, monkeypatch, tmp_path / "v1", DATA / "record_v1.json")
+    v2 = _analyze_in(capsys, monkeypatch, tmp_path / "v2", DATA / "record_v2.json")
+    assert v1 == v2
+    assert "jobs included:    3" in v2[0]
+
+
+def _v2_doc():
+    return json.loads((DATA / "record_v2.json").read_text())
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set(["format"], 3), "format"),
+        (_set(["format"], 1), "format"),
+        (_set(["format"], "2"), "format"),
+        (_set(["format"], True), "format"),
+        (_set(["format"], 2.0), "format"),
+        (_set(["jobs", 2, "ones"], [0] * 39), "jobs[2].ones"),
+        (_set(["jobs", 1, "ones"], [0] * 21), "jobs[1].ones"),
+        (_set(["jobs", 0, "ones"], "0"), "jobs[0].ones"),
+        (_set(["jobs", 2, "ones", 17], 5.0), "jobs[2].ones[17]"),
+        (_set(["jobs", 2, "ones", 17], True), "jobs[2].ones[17]"),
+        (_set(["jobs", 2, "ones", 17], -1), "jobs[2].ones[17]"),
+        (_set(["jobs", 2, "ones", 17], 701), "jobs[2].ones[17]"),
+        (_set(["jobs", 0, "counts"], [[[0, 300]] * 20]), "jobs[0].counts"),
+        (lambda doc: doc["jobs"][1].pop("ones"), "jobs[1].ones"),
+    ],
+    ids=[
+        "format-3", "format-1", "format-str", "format-bool", "format-float", "short-ones",
+        "long-ones", "ones-not-a-list", "float-leaf", "bool-leaf", "negative-leaf",
+        "leaf-above-shots", "counts-in-format-2", "no-ones",
+    ],
+)
+def test_analyze_names_the_faulty_format_2_field(tmp_path, capsys, edit, field):
+    doc = _v2_doc()
+    edit(doc)
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "analyze", str(rec))
+    assert code == EXIT_SCHEMA
+    assert f"{field}: " in stderr
+    assert stdout == ""
 
 
 # --- audit-drift -----------------------------------------------------------

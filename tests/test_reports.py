@@ -24,7 +24,7 @@ from qubitcert.sampling import (
 )
 from qubitcert.witness import WitnessResult
 
-from conftest import record_to_dict
+from conftest import record_to_v1_dict
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def test_render_text_single_job():
 def test_empty_job_rejected_before_analysis(record):
     """A job with 0 shots in every cell is rejected when the record is read,
     so no scatter ever has to skip it."""
-    doc = record_to_dict(record)
+    doc = record_to_v1_dict(record)
     doc["jobs"].append(
         {"job_id": "job-dead", "shots": 100, "repetitions": 2,
          "counts": [[[0, 0]] * 20] * 2}

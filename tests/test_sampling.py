@@ -26,7 +26,7 @@ from qubitcert.sampling import (
 )
 from qubitcert.witness import WitnessResult, prob_matrix, witness
 
-from conftest import json_edits, json_values, record_to_dict
+from conftest import json_edits, json_values, record_to_dict, record_to_v1_dict
 
 
 @pytest.fixture
@@ -78,6 +78,9 @@ def test_run_arguments_validation(monkeypatch, truth):
             estimator_bias_study(truth, n_jobs, shots, replications=2)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         estimator_bias_study(truth, 1, [1], replications=2, seed=-1)
+    for shots in ([], np.array([], int)):  # once returned [] unchecked, even for seed=-1
+        with pytest.raises(ValueError, match="at least one shot count"):
+            estimator_bias_study(truth, 0, shots, seed=-1)
 
 
 def test_a_total_count_of_int64_max_is_accepted(truth):
@@ -250,7 +253,7 @@ def test_drift_requires_config(truth, small_run):
 @pytest.mark.parametrize("drift_jobs", [3, 10])
 def test_drift_job_count_must_match_plan(truth, drift_jobs):
     """Too many drifted matrices were once silently cut, too few an IndexError."""
-    with pytest.raises(ValueError, match=f"{drift_jobs} jobs but the plan has 5"):
+    with pytest.raises(ValueError, match=f"{drift_jobs} jobs but n_jobs is 5"):
         simulate_record(
             truth, 5, 100, 1, 2, DriftModel(0.02, drift_jobs), config=builtin_config("II-0")
         )
@@ -358,7 +361,7 @@ def test_pooled_handles_unequal_job_sizes(truth):
 
 def test_empty_cell_job_rejected(truth):
     """A job whose cells report 0 shots is rejected, naming its first cell."""
-    good = record_to_dict(simulate_record(truth, 3, 100, 2, 4))
+    good = record_to_v1_dict(simulate_record(truth, 3, 100, 2, 4))
     good["jobs"].append(
         {"job_id": "job-bad", "shots": 100, "repetitions": 2,
          "counts": [[[0, 0]] * 20] * 2}
@@ -437,13 +440,17 @@ def test_record_round_trip(tmp_path, truth, small_run):
 
 
 def test_record_dict_structure(truth):
-    rec = simulate_record(truth, 2, 50, 1, 2)
+    rec = simulate_record(truth, 2, 50, 3, 2)
     d = record_to_dict(rec)
-    assert set(d) == {"config_id", "device", "jobs"}
+    assert list(d) == ["format", "config_id", "device", "jobs"] and d["format"] == 2
     assert len(d["jobs"]) == 2
-    job = d["jobs"][0]
-    assert set(job) == {"job_id", "shots", "repetitions", "counts"}
+    job = d["jobs"][1]
+    assert list(job) == ["job_id", "shots", "repetitions", "ones"]
+    assert job["ones"] == rec.ones[3:].reshape(-1).tolist()  # repetition-major
     assert json.dumps(d)  # JSON-serializable as-is
+    v1 = record_to_v1_dict(rec)
+    assert list(v1) == ["config_id", "device", "jobs"]
+    assert v1["jobs"][1]["counts"][2][19] == [job["ones"][59], 50]
 
 
 def _valid_doc():
@@ -458,6 +465,15 @@ def _valid_doc():
                 "counts": [[[5, 10]] * 20],
             }
         ],
+    }
+
+
+def _valid_v2_doc():
+    return {
+        "format": 2,
+        "config_id": "II-0",
+        "device": "sim",
+        "jobs": [{"job_id": "job-0000", "shots": 10, "repetitions": 1, "ones": [5] * 20}],
     }
 
 
@@ -537,6 +553,26 @@ def test_load_record_detects_the_encoding(tmp_path, truth, encoding):
     assert np.array_equal(load_record(path).ones, rec.ones)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_both_pinned_formats_load_the_same_record_and_save_format_2(tmp_path):
+    """record_v1.json is the pinned record as format 1 was written, and
+    record_v2.json the same record in format 2: both load to the same arrays,
+    and save -> load -> save of either gives the format-2 bytes."""
+    v1, v2 = (DATA / "record_v1.json").read_bytes(), (DATA / "record_v2.json").read_bytes()
+    a, b = load_record(DATA / "record_v1.json"), load_record(DATA / "record_v2.json")
+    for name in ("config_id", "device", "job_ids", "timestamp", "shots", "reps", "ones"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert json.dumps(record_to_v1_dict(a)).encode() + b"\n" == v1
+    for rec in (a, b):
+        path = tmp_path / "rec.json"
+        save_record(rec, path)
+        assert path.read_bytes() == v2
+        save_record(load_record(path), path)
+        assert path.read_bytes() == v2
+
+
 def test_timestamp_preserved(tmp_path, truth):
     rec = simulate_record(truth, 1, 20, 1, 0)
     stamped = dataclasses.replace(rec, timestamp="2024-08-17T12:00:00Z")
@@ -579,13 +615,13 @@ def test_save_record_of_mixed_jobs_is_json_dumps(tmp_path, truth):
 
 
 def test_a_valid_document_never_reaches_the_per_job_loop(monkeypatch, truth):
-    doc = record_to_dict(_mixed_record(truth))
-
-    def fail(raw_jobs):
+    def fail(*args):
         raise AssertionError("the per-job loop ran")
 
     monkeypatch.setattr(sampling, "_check_jobs", fail)
-    assert np.array_equal(record_from_dict(doc).ones, _mixed_record(truth).ones)
+    for to_dict in (record_to_dict, record_to_v1_dict):
+        doc = to_dict(_mixed_record(truth))
+        assert np.array_equal(record_from_dict(doc).ones, _mixed_record(truth).ones)
 
 
 @pytest.mark.parametrize(
@@ -594,10 +630,22 @@ def test_a_valid_document_never_reaches_the_per_job_loop(monkeypatch, truth):
 def test_a_count_numpy_would_coerce_goes_to_the_per_job_loop(leaf):
     doc = _valid_doc()
     doc["jobs"][0]["counts"][0][7] = [leaf, 10]
-    assert sampling._read_jobs_at_once(doc["jobs"]) is None
+    assert sampling._read_jobs_at_once(doc["jobs"], 1) is None
     with pytest.raises(RecordSchemaError) as err:
         record_from_dict(doc)
     assert err.value.field.startswith("jobs[0].counts")
+
+
+@pytest.mark.parametrize(
+    "leaf", [1.5, 1.0, True, "3", None, [1], 2**63, -(2**63) - 1, 2**64 + 1]
+)
+def test_a_format_2_count_numpy_would_coerce_goes_to_the_per_job_loop(leaf):
+    doc = _valid_v2_doc()
+    doc["jobs"][0]["ones"][7] = leaf
+    assert sampling._read_jobs_at_once(doc["jobs"], 2) is None
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    assert err.value.field == "jobs[0].ones[7]"
 
 
 def test_a_python_built_document_with_numpy_integers_is_rejected():
@@ -701,7 +749,7 @@ def test_record_from_dict_accepts_exactly_the_valid_documents(doc):
         expected = dict(doc)
         if expected.get("timestamp") is None:
             expected.pop("timestamp", None)
-        back = record_to_dict(record_from_dict(doc))
+        back = record_to_v1_dict(record_from_dict(doc))
         assert json.dumps(back, sort_keys=True) == json.dumps(expected, sort_keys=True)
         return
     with pytest.raises(RecordSchemaError) as err:
@@ -720,3 +768,94 @@ def test_save_record_writes_json_dumps_of_every_valid_document(doc):
     if _doc_is_valid(doc):
         rec = record_from_dict(doc)
         assert _saved_text(rec) == json.dumps(record_to_dict(rec)) + "\n"
+
+
+# --- fuzzing the format-2 reader ---------------------------------------------
+
+_TOP_FIELDS_V2 = _TOP_FIELDS | {"format"}
+
+
+@st.composite
+def _v2_documents(draw):
+    """A format-2 record document, valid but for an optional repeated job id
+    and up to two counts at or beyond their bounds, then up to two random
+    edits (which may drop or change ``format``)."""
+    jobs = []
+    for n in range(draw(st.integers(1, 3))):
+        shots, reps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        ones = draw(st.lists(st.integers(0, shots), min_size=20 * reps, max_size=20 * reps))
+        jobs.append({"job_id": f"j{n}", "shots": shots, "repetitions": reps, "ones": ones})
+    if len(jobs) > 1 and draw(st.integers(0, 3)) == 0:
+        jobs[-1]["job_id"] = "j0"
+    for _ in range(draw(st.integers(0, 2))):  # counts at or beyond their bounds
+        job = draw(st.sampled_from(jobs))
+        job["ones"][draw(st.integers(0, len(job["ones"]) - 1))] = draw(
+            st.booleans() | st.integers(-1, 4)
+        )
+    doc = {"format": 2, "config_id": "II-0", "device": "sim", "jobs": jobs}
+    if draw(st.booleans()):
+        doc["timestamp"] = "2024-08-17T12:00:00Z"
+    return draw(json_edits(doc, json_values))
+
+
+def _first_v2_fault(doc):
+    """The format-2 schema in plain Python, as ``_first_fault`` states format
+    1, which it defers to for a document without ``format``."""
+    if type(doc) is not dict:
+        return "top"
+    if "format" not in doc:
+        return _first_fault(doc)
+    if type(doc["format"]) is not int or doc["format"] != 2:
+        return "top"
+    if type(doc.get("config_id")) is not str or type(doc.get("device")) is not str:
+        return "top"
+    if doc.get("timestamp") is not None and type(doc["timestamp"]) is not str:
+        return "top"
+    jobs = doc.get("jobs")
+    if type(jobs) is not list or not jobs:
+        return "top"
+    ids, total = set(), 0
+    for i, job in enumerate(jobs):
+        if type(job) is not dict:
+            return i
+        shots, reps, ones = job.get("shots"), job.get("repetitions"), job.get("ones")
+        if type(job.get("job_id")) is not str or not (_is_int(shots) and _is_int(reps)):
+            return i
+        if job["job_id"] in ids or not (1 <= shots and reps >= 1):
+            return i
+        ids.add(job["job_id"])
+        total += shots * reps
+        if total >= 2**63 or "counts" in job:
+            return i
+        if type(ones) is not list or len(ones) != 20 * reps:
+            return i
+        if not all(_is_int(n) and 0 <= n <= shots for n in ones):
+            return i
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_v2_documents())
+def test_record_from_dict_accepts_exactly_the_valid_format_2_documents(doc):
+    """Every valid format-2 document is accepted and written back unchanged;
+    every malformed one raises RecordSchemaError naming a top-level field or a
+    field of exactly its first offending job."""
+    fault = _first_v2_fault(doc)
+    if fault is None:
+        expected = dict(doc)
+        if expected.get("timestamp") is None:
+            expected.pop("timestamp", None)
+        rec = record_from_dict(doc)
+        assert json.dumps(record_to_dict(rec), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert _saved_text(rec) == json.dumps(record_to_dict(rec)) + "\n"
+        return
+    with pytest.raises(RecordSchemaError) as err:
+        record_from_dict(doc)
+    if fault == "top":
+        assert err.value.field in _TOP_FIELDS_V2
+    else:
+        assert err.value.field == f"jobs[{fault}]" or err.value.field.startswith(
+            f"jobs[{fault}]."
+        )
