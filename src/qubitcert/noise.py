@@ -20,6 +20,7 @@ can reproduce, so the witness picks it up.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,6 +169,22 @@ def _column_mix_patterns(
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_rows(config: ConfigSet) -> np.ndarray:
+    """The config's predicted measured rows, (4, 5), read-only.  One config
+    is kept: an audit asks for the same one once per block and mode."""
+    return predicted_prob_matrix(config)[:4]
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
+    """The initial state of ``default_rng(seed + t)``'s bit generator for each
+    of ``trials`` runs.  Seeding costs several times what one run draws, and
+    an audit reads the same block of seeds once per drift mode, so the last
+    block is kept for the next mode to replay."""
+    return tuple(np.random.PCG64(seed + t).state for t in range(trials))
+
+
 def generate_drift_ensemble(
     config: ConfigSet, model: DriftModel, seed: int, trials: int = 1
 ) -> np.ndarray:
@@ -175,31 +192,38 @@ def generate_drift_ensemble(
     ``(trials, model.n_jobs, 5, 5)``: each exactly witness-zero and within
     ``model.epsilon`` of the config's predicted matrix entrywise.
 
-    Run ``t`` draws from ``default_rng(seed + t)`` alone, so it does not
-    depend on how many runs are generated with it.  The column-mix mode
+    Run ``t`` draws the stream of ``default_rng(seed + t)`` alone, so it does
+    not depend on how many runs are generated with it.  The column-mix mode
     alternates between two drawn patterns so that pooling does not average the
     drift away.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ref = predicted_prob_matrix(config)[:4]
+    ref = _reference_rows(config)
     eps, n_jobs = model.epsilon, model.n_jobs
     if eps == 0.0:
         return prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))
-    rngs = (np.random.default_rng(seed + t) for t in range(trials))
+    states = _trial_states(seed, trials)
+    # one generator replays every run: its own seeding is never drawn from,
+    # since each run sets the state it starts from
+    bit_gen = np.random.PCG64()
+    rng = np.random.Generator(bit_gen)
     if model.perturbation_mode == "angle-jitter":
         delta = eps / _JITTER_LIPSCHITZ
-        jit = np.stack([rng.uniform(-delta, delta, size=(n_jobs, 18)) for rng in rngs])
+        jit = np.empty((trials, n_jobs, 18))
+        for t, state in enumerate(states):
+            bit_gen.state = state
+            jit[t] = rng.uniform(-delta, delta, size=(n_jobs, 18))
         rows = _jitter_rows(config, jit)
     else:
         # per run: column and perturbation of pattern a, then of pattern b
-        draws = [
-            (int(rng.integers(0, 5)), rng.uniform(-eps, eps, size=(4, 5)))
-            for rng in rngs
-            for _ in range(2)
-        ]
-        t = np.array([d[0] for d in draws])
-        e0 = np.stack([d[1] for d in draws])
+        t = np.empty(2 * trials, dtype=np.int64)
+        e0 = np.empty((2 * trials, 4, 5))
+        for i, state in enumerate(states):
+            bit_gen.state = state
+            for k in (2 * i, 2 * i + 1):
+                t[k] = rng.integers(0, 5)
+                e0[k] = rng.uniform(-eps, eps, size=(4, 5))
         patterns = _column_mix_patterns(ref, eps, t, e0).reshape(trials, 2, 4, 5)
         rows = patterns[:, np.arange(n_jobs) % 2]
     return prob_matrix(rows)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,49 @@ def test_audit_drift_csv_matches_per_trial_reference_across_blocks(tmp_path, cap
     assert csv.read_text() == "\n".join(rows) + "\n"
 
 
+def test_audit_drift_both_modes_give_each_mode_alone_across_blocks(tmp_path, capsys):
+    """The second mode of each block replays the first one's trial seeding,
+    and gives the rows of a single-mode audit over two blocks."""
+    trials = cli.AUDIT_BLOCK_MEMBERS // 10 + 3
+    argv = [
+        "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
+        "--trials", str(trials), "--jobs", "10", "--seed", "3", "--out",
+    ]
+    rows = {}
+    for mode in ("both", "angle-jitter", "column-mix"):
+        csv = tmp_path / f"{mode}.csv"
+        code, _, _ = run(capsys, *argv, str(csv), "--drift-mode", mode)
+        assert code == EXIT_OK
+        rows[mode] = csv.read_text().splitlines()
+    assert rows["both"] == rows["angle-jitter"] + rows["column-mix"][1:]
+
+
+def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
+    """Over two blocks in both modes, each trial's seed reaches a generator
+    constructor once: the second mode replays the first one's seeding."""
+    seeds = Counter()
+    real_default_rng, real_pcg64 = np.random.default_rng, np.random.PCG64
+
+    def default_rng(seed=None):
+        seeds[seed] += 1
+        return real_default_rng(seed)
+
+    def pcg64(seed=None):
+        seeds[seed] += 1
+        return real_pcg64(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    trials, seed = cli.AUDIT_BLOCK_MEMBERS // 10 + 3, 424_242
+    code, _, _ = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
+        "--trials", str(trials), "--jobs", "10", "--seed", str(seed),
+    )
+    assert code == EXIT_OK
+    del seeds[None]  # a generator whose own seeding is never drawn from
+    assert seeds == Counter({seed + t: 1 for t in range(trials)})
+
+
 def test_gen_config_canonical_round_trip(tmp_path, capsys):
     """Feeding gen-config its own output reproduces the file bit-identically."""
     first = tmp_path / "one.json"
@@ -562,6 +606,19 @@ def test_audit_drift_caps_jobs_at_one_block(capsys):
     )
     assert code == EXIT_OK
     assert "PASS: bound never violated" in stdout
+
+
+@pytest.mark.parametrize("mode", ["both", "angle-jitter", "column-mix"])
+def test_audit_drift_rejects_one_job(capsys, mode):
+    """One job pools one exactly witness-zero matrix, whose |W| is round-off,
+    so the audit could not fail."""
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.05",
+        "--jobs", "1", "--trials", "3", "--drift-mode", mode,
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--jobs" in stderr and "could not fail" in stderr
 
 
 def test_audit_drift_violated_bound_exits_1(tmp_path, capsys, monkeypatch):
@@ -688,6 +745,59 @@ def test_an_unwritable_output_fails_before_the_work(
     assert f"{flag} {value}" in stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
     assert list((tmp_path / "a-dir").iterdir()) == []
+
+
+#: (argv, the output flag, what its path names, the first step of the work)
+_SAME_FILE = {
+    "analyze-out-record": (
+        ["analyze", "rec.json", "--out", "rec.json"], "--out", "the record", "load_record"
+    ),
+    "analyze-svg-record": (
+        ["analyze", "rec.json", "--svg", "./rec.json"], "--svg", "the record", "load_record"
+    ),
+    "analyze-svg-out": (
+        ["analyze", "rec.json", "--out", "scatter", "--svg", "sub/../scatter"],
+        "--svg",
+        "--out",
+        "load_record",
+    ),
+    "simulate-out-config": (
+        ["simulate", "--config", "cfg.json", "--jobs", "2", "--out", "cfg.json"],
+        "--out",
+        "--config",
+        "simulate_record",
+    ),
+    "audit-drift-out-config": (
+        ["audit-drift", "--config", "cfg.json", "--drift-eps", "0.01", "--trials", "2",
+         "--out", "sub/../cfg.json"],
+        "--out",
+        "--config",
+        "generate_drift_ensemble",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAME_FILE))
+def test_an_output_that_names_an_input_or_another_output_fails_before_the_work(
+    tmp_path, capsys, monkeypatch, case
+):
+    argv, flag, other, first_step = _SAME_FILE[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["gen-config", "II-0", "--out", "cfg.json"]) == EXIT_OK
+    assert main(["simulate", "--config", "II-0", "--jobs", "2", "--out", "rec.json"]) == EXIT_OK
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{first_step} ran")
+
+    monkeypatch.setattr(cli, first_step, fail)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_IO
+    assert stdout == ""
+    assert f"I/O error: {flag} " in stderr and f"same file as {other} " in stderr
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_no_command_prints_help(capsys):

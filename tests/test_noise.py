@@ -160,6 +160,29 @@ def test_drift_trial_depends_only_on_its_own_seed(mode):
         assert batch[t].tobytes() == alone[0].tobytes()
 
 
+def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
+    """The trial seeding and reference rows kept between calls belong to one
+    (seed, trials) block and one config: calls that interleave two configs,
+    both modes, and seeds and trial counts that share one part of the key or
+    repeat an earlier key each give the one-trial-at-a-time ensembles."""
+    calls = [
+        ("II-0", "angle-jitter", 30, 4),
+        ("II-0", "column-mix", 30, 4),  # the same block in the other mode
+        ("I-prime", "column-mix", 30, 4),  # the same block, another config
+        ("I-prime", "angle-jitter", 30, 6),  # the same seed, more trials
+        ("II-0", "angle-jitter", 31, 6),  # the same trials, another seed
+        ("II-0", "column-mix", 30, 4),  # a key repeated after other keys
+        ("I-prime", "column-mix", 31, 3),
+        ("II-0", "angle-jitter", 30, 4),
+    ]
+    for cid, mode, seed, trials in calls:
+        cfg, model = builtin_config(cid), DriftModel(0.05, 3, mode)
+        batch = generate_drift_ensemble(cfg, model, seed, trials)
+        assert batch.shape == (trials, 3, 5, 5)
+        for t in range(trials):
+            assert batch[t].tobytes() == reference_ensemble(cfg, model, seed + t).tobytes()
+
+
 def test_drift_needs_a_trial():
     with pytest.raises(ValueError, match="trials"):
         generate_drift_ensemble(builtin_config("II-0"), DriftModel(0.01, 3), 0, trials=0)
