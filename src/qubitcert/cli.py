@@ -63,6 +63,10 @@ EXIT_SCHEMA = 4
 #: it is also the most --jobs one trial may have
 AUDIT_BLOCK_MEMBERS = 10_240
 
+#: audit-drift passes a pooled |W| up to this much above the bound, which
+#: absorbs the determinant's round-off; a bound at or below it could never fail
+_AUDIT_SLACK = 1e-12
+
 
 def _seed(text: str) -> int:
     """argparse type of --seed: numpy seeds are non-negative integers."""
@@ -216,6 +220,12 @@ def cmd_audit_drift(args) -> int:
             f"{bound:.6e}, not below the largest possible |W| = {W_CEILING:g}, "
             "so the audit could not fail"
         )
+    if not bound > _AUDIT_SLACK:
+        raise ValueError(
+            f"--drift-eps {args.drift_eps:g} gives bound 80*sqrt(2)*eps^2 = "
+            f"{bound:.6e}, not above the round-off slack {_AUDIT_SLACK:g} that "
+            "every pooled |W| is allowed, so the audit could not fail"
+        )
     if args.jobs == 1:
         raise ValueError(
             "--jobs 1 pools one exactly witness-zero matrix per trial, whose "
@@ -247,11 +257,9 @@ def cmd_audit_drift(args) -> int:
     all_ok = True
     rows = ["mode,trials,max_abs_pooled_W,bound,fraction,pass"]
     for mode, mode_worst in zip(modes, worst):
-        # 1e-12 slack absorbs determinant roundoff, which otherwise fails the
-        # exactly-zero bound at eps = 0
-        ok = mode_worst <= bound + 1e-12
+        ok = mode_worst <= bound + _AUDIT_SLACK
         all_ok &= ok
-        frac = mode_worst / bound if bound > 0.0 else 0.0
+        frac = mode_worst / bound
         rows.append(f"{mode},{args.trials},{mode_worst!r},{bound!r},{frac!r},{ok}")
         print(
             f"  {mode:12s}: max pooled |W| = {mode_worst:.6e} "

@@ -23,11 +23,11 @@ bias study below quantifies.
 Records are UTF-8 JSON files.  ``save_record`` writes format 2, where each
 job's counts are one flat list of ones-counts and its shots appear once;
 ``load_record`` also reads format 1, where every cell repeats the job's
-shots as ``[ones, shots]``.  A valid record has one definition: the
-:class:`ExperimentRecord` constructor checks the values, ``record_from_dict``
-only checks a document's shape and JSON types while it flattens the counts of
-either format in one pass, and a document either of them rejects is walked
-job by job only to name its first offending field.
+shots as ``[ones, shots]``.  A valid record has one definition, the
+:class:`ExperimentRecord` constructor.  ``record_from_dict`` walks a
+document's jobs once, in document order: it names the first field that breaks
+the schema, and otherwise collects the counts of either format into one flat
+list, from which the constructor builds the record.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -297,9 +296,9 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     first offending field.
 
     Every field must have exactly its JSON type (a bool or a float is not an
-    ``int``).  ``_read_jobs_at_once`` reshapes the jobs, the constructor checks
-    the values, and a document either rejects is walked job by job
-    (``_check_jobs``) to name its first offending field.
+    ``int``).  ``_read_jobs`` walks the jobs once in document order, raising
+    on the first offending field and otherwise collecting every count, and
+    the constructor builds the record from what it read.
     """
     if not isinstance(data, dict):
         raise RecordSchemaError("$", "record must be a JSON object")
@@ -314,76 +313,23 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     timestamp = data.get("timestamp")
     if timestamp is not None and type(timestamp) is not str:
         raise RecordSchemaError("timestamp", "must be a string when present")
-    jobs = _read_jobs_at_once(raw_jobs, fmt)
-    problem = "not a list of well-formed jobs"
-    if jobs is not None:
-        try:
-            return ExperimentRecord(config_id, device, *jobs, timestamp)
-        except ValueError as exc:
-            problem = str(exc)
-    _check_jobs(raw_jobs, fmt)
-    raise RecordSchemaError("jobs", problem)
-
-
-def _read_jobs_at_once(raw_jobs: list, fmt: int):
-    """``(job_ids, shots, reps, ones)`` of a ``jobs`` list of format ``fmt``,
-    reshaped in one pass over the flattened counts; None, never an exception,
-    for anything else.  It checks structure, lengths and exact types (numpy
-    would read a float, a bool or a numeric string as an integer), and in
-    format 1 that every cell repeats its job's shots; values are the
-    constructor's.
-    """
-    if set(map(type, raw_jobs)) != {dict}:
-        return None
-    key = "ones" if fmt == 2 else "counts"
+    ids, *counts = _read_jobs(raw_jobs, fmt)
+    shots, reps, ones = (np.array(v, np.int64) for v in counts)
     try:
-        ids, shots, reps, counts = zip(
-            *[(j["job_id"], j["shots"], j["repetitions"], j[key]) for j in raw_jobs]
+        return ExperimentRecord(
+            config_id, device, ids, shots, reps, ones.reshape(-1, 20), timestamp
         )
-    except KeyError:
-        return None
-    if (
-        set(map(type, ids)) != {str}
-        or set(map(type, shots)) != {int}
-        or set(map(type, reps)) != {int}
-        or set(map(type, counts)) != {list}
-    ):
-        return None
-    if fmt == 2:
-        if any("counts" in j for j in raw_jobs) or tuple(map(len, counts)) != tuple(
-            20 * r for r in reps
-        ):
-            return None
-        leaves = list(chain.from_iterable(counts))
-    else:
-        if tuple(map(len, counts)) != reps:
-            return None
-        rows = list(chain.from_iterable(counts))
-        if set(map(type, rows)) != {list} or set(map(len, rows)) != {20}:
-            return None
-        cells = list(chain.from_iterable(rows))
-        if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-            return None
-        pairs = list(chain.from_iterable(cells))
-        leaves, echoes = pairs[0::2], pairs[1::2]
-        if set(map(type, echoes)) != {int} or echoes != [
-            s for s, r in zip(shots, reps) for _ in range(20 * r)
-        ]:
-            return None
-    if set(map(type, leaves)) != {int}:
-        return None
-    try:
-        arrays = [np.array(v, np.int64) for v in (shots, reps, leaves)]
-    except OverflowError:
-        return None
-    return ids, arrays[0], arrays[1], arrays[2].reshape(-1, 20)
+    except ValueError as exc:
+        raise RecordSchemaError("jobs", str(exc)) from None
 
 
-def _check_jobs(raw_jobs: list, fmt: int) -> None:
+def _read_jobs(raw_jobs: list, fmt: int) -> tuple[list, list, list, list]:
     """Walk a ``jobs`` list of format ``fmt`` in document order and raise
-    :class:`RecordSchemaError` on its first offending field; return if there
-    is none.  Plain Python, so every value keeps its JSON type."""
-    first_use: dict[str, int] = {}
+    :class:`RecordSchemaError` on its first offending field; otherwise return
+    ``(job_ids, shots, reps, ones)``, with ``ones`` every count in one flat
+    list.  Plain Python, so every value keeps its JSON type."""
+    first_use: dict[str, int] = {}  # in document order, so its keys are the ids
+    shots_of, reps_of, flat = [], [], []
     total = 0  # sum(shots * reps) so far, a Python int so that it cannot wrap
     for idx, raw in enumerate(raw_jobs):
         path = f"jobs[{idx}]."
@@ -409,9 +355,33 @@ def _check_jobs(raw_jobs: list, fmt: int) -> None:
                 f"total count sum(shots * repetitions) reaches {total}, "
                 f"above {_INT64_MAX}",
             )
+        shots_of.append(shots)
+        reps_of.append(reps)
         if fmt == 2:
-            _check_ones(raw, path, shots, reps)
+            if "counts" in raw:
+                raise RecordSchemaError(f"{path}counts", "not a format-2 field: counts go in ones")
+            ones = _require(raw, "ones", list, path)
+            if len(ones) != 20 * reps:
+                raise RecordSchemaError(
+                    f"{path}ones",
+                    f"must hold 20 x repetitions={reps} = {20 * reps} counts, got {len(ones)}",
+                )
+            for n in ones:
+                if type(n) is not int or not 0 <= n <= shots:
+                    # the first count that is this very object fails first: an
+                    # earlier one would fail the same test
+                    c = next(c for c, m in enumerate(ones) if m is n)
+                    raise RecordSchemaError(
+                        f"{path}ones[{c}]",
+                        f"needs an integer with 0 <= ones <= shots = {shots} (the job's), "
+                        f"got {n!r}",
+                    )
+            flat += ones
             continue
+        if "ones" in raw and "counts" not in raw:
+            raise RecordSchemaError(
+                f"{path}ones", 'a format-2 field: the document needs "format": 2'
+            )
         counts = _require(raw, "counts", list, path)
         if len(counts) != reps:
             raise RecordSchemaError(
@@ -421,32 +391,17 @@ def _check_jobs(raw_jobs: list, fmt: int) -> None:
             if type(row) is not list or len(row) != 20:
                 raise RecordSchemaError(f"{path}counts[{r}]", "must be a list of 20 cells")
             for c, cell in enumerate(row):
-                if type(cell) is not list or list(map(type, cell)) != [int, int] or not (
-                    cell[1] == shots and 0 <= cell[0] <= shots
+                if type(cell) is not list or len(cell) != 2 or not (
+                    type(cell[0]) is type(cell[1]) is int
+                    and cell[1] == shots and 0 <= cell[0] <= shots
                 ):
                     raise RecordSchemaError(
                         f"{path}counts[{r}][{c}]",
                         f"needs [ones, shots] of integers with shots = {shots} (the "
                         f"job's) and 0 <= ones <= shots, got {cell!r}",
                     )
-
-
-def _check_ones(raw: dict, path: str, shots: int, reps: int) -> None:
-    """Raise on the first offending field of a format-2 job's counts."""
-    if "counts" in raw:
-        raise RecordSchemaError(f"{path}counts", "not a format-2 field: counts go in ones")
-    ones = _require(raw, "ones", list, path)
-    if len(ones) != 20 * reps:
-        raise RecordSchemaError(
-            f"{path}ones",
-            f"must hold 20 x repetitions={reps} = {20 * reps} counts, got {len(ones)}",
-        )
-    for c, n in enumerate(ones):
-        if type(n) is not int or not 0 <= n <= shots:
-            raise RecordSchemaError(
-                f"{path}ones[{c}]",
-                f"needs an integer with 0 <= ones <= shots = {shots} (the job's), got {n!r}",
-            )
+                flat.append(cell[0])
+    return list(first_use), shots_of, reps_of, flat
 
 
 def save_record(record: ExperimentRecord, path: str | Path) -> None:

@@ -431,11 +431,12 @@ def _set(path, value):
         (_set(["jobs", 2, "ones", 17], 701), "jobs[2].ones[17]"),
         (_set(["jobs", 0, "counts"], [[[0, 300]] * 20]), "jobs[0].counts"),
         (lambda doc: doc["jobs"][1].pop("ones"), "jobs[1].ones"),
+        (lambda doc: doc.pop("format"), "jobs[0].ones"),
     ],
     ids=[
         "format-3", "format-1", "format-str", "format-bool", "format-float", "short-ones",
         "long-ones", "ones-not-a-list", "float-leaf", "bool-leaf", "negative-leaf",
-        "leaf-above-shots", "counts-in-format-2", "no-ones",
+        "leaf-above-shots", "counts-in-format-2", "no-ones", "no-format-key",
     ],
 )
 def test_analyze_names_the_faulty_format_2_field(tmp_path, capsys, edit, field):
@@ -548,13 +549,17 @@ def test_gen_config_malformed_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_audit_drift_zero_epsilon_passes(capsys):
-    code, stdout, _ = run(
-        capsys, "audit-drift", "--config", "I-prime", "--drift-eps", "0",
+@pytest.mark.parametrize("eps", ["0", "5e-8"])
+def test_audit_drift_rejects_a_bound_within_round_off(capsys, eps):
+    """The pass test forgives 1e-12 of round-off, so a bound 80*sqrt(2)*eps^2
+    at or below it (0, and 2.8e-13 at eps = 5e-8) could only pass."""
+    code, stdout, stderr = run(
+        capsys, "audit-drift", "--config", "I-prime", "--drift-eps", eps,
         "--trials", "3",
     )
-    assert code == EXIT_OK
-    assert "PASS: bound never violated" in stdout
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--drift-eps" in stderr and "could not fail" in stderr
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
