@@ -14,13 +14,16 @@ as it stands: a Nelder-Mead polish of that point gained at most 4.7e-14 in W
 
 All restarts ascend as one batch: stacked ``(R, 5, d)`` states,
 ``(R, 4, d, d)`` effects and ``(R, 5, 5)`` probability matrices, with batched
-cofactors and eigendecompositions.  Each update computes only the cofactors
-it reads, column k of the adjugate (5 minors) for effect k and the first four
-entries of row j (4 minors) for preparation j, not the full 25.  A real-field
-search runs in float64 throughout, a complex one in complex128.  Restart r
-starts from its own generator, spawned as (seed, r).  A sweep updates only the
-restarts still active; a restart freezes once its sweep-to-sweep change in W
-falls below 1e-14 (converged) or at the sweep cap.  Every per-restart
+cofactors, matrix products and eigendecompositions.  Each update computes only
+the cofactors it reads, column k of the adjugate (5 minors) for effect k and
+the first four entries of row j (4 minors) for preparation j, not the full 25;
+:func:`~qubitcert.witness.adjugate` expands each minor in closed form.  A
+real-field search runs in float64 throughout, a complex one in complex128.
+Restart r's start is one draw of normals from its own generator, spawned as
+(seed, r), and every start is normalised in one batch.  A sweep updates only
+the restarts still active; a restart freezes once its sweep-to-sweep change in
+W falls below 1e-14 (converged) or at the sweep cap, and the active state is
+compacted only on a sweep where some restart freezes.  Every per-restart
 operation acts on one slice at a time, so a restart ends at the same bits
 whatever the batch size.  The winner is the restart with the largest W, the
 lowest index on an exact tie.
@@ -160,23 +163,25 @@ def strategy_prob_matrix(point: StrategyPoint) -> np.ndarray:
 # See-saw coordinate ascent
 
 
-def _random_point(d: int, field: str, rng) -> tuple[np.ndarray, np.ndarray]:
-    """A random start: float64 arrays over the reals, complex128 otherwise."""
-
-    def rvec(shape):
-        v = rng.standard_normal(shape)
-        return v + 1j * rng.standard_normal(shape) if field == "complex" else v
-
-    psi = rvec((5, d))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    effects = np.empty((4, d, d), dtype=psi.dtype)
-    for k in range(4):
-        # Rank-1 starts work markedly better than random-rank projectors; the
-        # updates grow the rank where the ascent wants it.
-        v = rvec(d)
-        v /= np.linalg.norm(v)
-        effects[k] = np.outer(v, v.conj())
-    return psi, effects
+def _starts(d: int, field: str, seed: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every restart's random start, stacked: ``(R, 5, d)`` unit states and
+    ``(R, 4, d, d)`` rank-1 projectors, float64 over the reals and complex128
+    otherwise.  Restart r's normals are one draw from the generator spawned as
+    (seed, r): the states' real parts then imaginary parts, then each
+    projector's vector likewise.  Rank-1 starts work markedly better than
+    random-rank projectors; the updates grow the rank where the ascent wants
+    it."""
+    parts = 2 if field == "complex" else 1
+    z = np.empty((restarts, 9 * parts, d))
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng.standard_normal(out=z[r])
+    if field == "complex":
+        v = z[:, 10:].reshape(restarts, 4, 2, d)
+        z = np.concatenate([z[:, :5] + 1j * z[:, 5:10], v[:, :, 0] + 1j * v[:, :, 1]], axis=1)
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    v = z[:, 5:]
+    return z[:, :5], v[..., :, None] * v.conj()[..., None, :]
 
 
 def _rows_from(psi: np.ndarray, effects: np.ndarray) -> np.ndarray:
@@ -187,40 +192,33 @@ def _rows_from(psi: np.ndarray, effects: np.ndarray) -> np.ndarray:
 def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
     """All restarts of the alternating closed-form ascent, run as one batch.
 
-    Restart r starts from its own generator, spawned as (seed, r).  Each sweep
-    updates only the restarts still active; a restart freezes once its
-    sweep-to-sweep change falls below ``_TOL`` (converged) or after ``sweeps``.
+    Each sweep updates only the restarts still active; a restart freezes once
+    its sweep-to-sweep change falls below ``_TOL`` (converged) or after
+    ``sweeps``, and only then is it written out and dropped from the batch.
     Returns the stacked (psi, effects) and, per restart, the final W, the
     number of sweeps run and the converged flag.
     """
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        for r in range(restarts)
-    ]
-    starts = [_random_point(d, field, rng) for rng in rngs]
-    psi = np.stack([s[0] for s in starts])  # (R, 5, d)
-    effects = np.stack([s[1] for s in starts])  # (R, 4, d, d)
-    p = np.ones((restarts, 5, 5))
-    p[:, :4] = _rows_from(psi, effects)
-    w = np.linalg.det(p)
-    n_sweeps = np.zeros(restarts, dtype=np.int64)
+    ps, ef = _starts(d, field, seed, restarts)
+    pp = np.ones((restarts, 5, 5))
+    pp[:, :4] = _rows_from(ps, ef)
+    w = np.linalg.det(pp)
+    psi, effects, w_out = np.empty_like(ps), np.empty_like(ef), np.empty_like(w)
+    n_sweeps = np.empty(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
-    for _ in range(sweeps):
-        if active.size == 0:
-            break
-        ps, ef, pp = psi[active], effects[active], p[active]
+    for n in range(1, sweeps + 1):
+        ps_bar = ps.conj()
         for k in range(4):
             # c[:, j] = (Adj p)[:, j, k] = d det / d p[:, k, j]: 5 of the 25
             # cofactors.  G = sum_j C_kj |psi_j><psi_j| so that
             # tr(M G) = sum_j C_kj p_kj.
             c = adjugate(pp, (slice(None), k))
-            g = np.einsum("rj,rjd,rje->rde", c, ps, ps.conj())
+            g = (ps * c[:, :, None]).swapaxes(1, 2) @ ps_bar
             lam, v = np.linalg.eigh(g)
             # Project onto the positive eigenspace: zero the other columns of v.
             keep = v * (lam > 0.0)[:, None, :]
             ef[:, k] = keep @ v.conj().swapaxes(1, 2)
-            pp[:, k] = _rows_from(ps, ef[:, k : k + 1])[:, 0]
+            pp[:, k] = ((ps_bar @ ef[:, k]) * ps).sum(-1).real
         for j in range(5):
             c = adjugate(pp, (j, slice(0, 4)))  # (Adj p)[:, j, :4]
             h = np.einsum("rk,rkde->rde", c, ef)
@@ -228,12 +226,19 @@ def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
             ps[:, j] = v[:, :, -1]
             pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]
         w_new = np.linalg.det(pp)
-        done = np.abs(w_new - w[active]) < _TOL
-        psi[active], effects[active], p[active], w[active] = ps, ef, pp, w_new
-        n_sweeps[active] += 1
-        converged[active[done]] = True
-        active = active[~done]
-    return psi, effects, w, n_sweeps, converged
+        done = np.abs(w_new - w) < _TOL
+        w = w_new
+        finished = done | (n == sweeps)
+        if finished.any():
+            ids = active[finished]
+            psi[ids], effects[ids], w_out[ids] = ps[finished], ef[finished], w[finished]
+            n_sweeps[ids] = n
+            converged[ids] = done[finished]
+            if finished.all():
+                break
+            left = ~finished
+            active, ps, ef, pp, w = active[left], ps[left], ef[left], pp[left], w[left]
+    return psi, effects, w_out, n_sweeps, converged
 
 
 def minimize(fun, x0, **kwargs):
@@ -247,7 +252,8 @@ def minimize(fun, x0, **kwargs):
 
 def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> SearchResult:
     """Random-restart see-saw ascent over d-dimensional strategies (d = 2, 3
-    or 4, ``field`` "real" or "complex", 1 to ``MAX_RESTARTS`` restarts).
+    or 4, ``field`` "real" or "complex", 1 to ``MAX_RESTARTS`` restarts, a
+    seed >= 0; the counts are Python or numpy integers, not bools).
 
     Restarts draw independent starting points from generators spawned as
     (seed, restart index) and ascend as one batch, so each restart's result
@@ -263,6 +269,11 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
         raise ValueError(f"d must be 2, 3 or 4, got {d}")
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if restarts > MAX_RESTARTS:

@@ -35,6 +35,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +110,7 @@ class ExperimentRecord:
         if len(job_ids) == 0:
             raise ValueError("record must contain at least one job")
         strings = (self.config_id, self.device, *job_ids)
-        if not all(isinstance(s, str) for s in strings) or not isinstance(
+        if not all(map(isinstance, strings, repeat(str))) or not isinstance(
             self.timestamp, (str, type(None))
         ):
             raise ValueError("config_id, device and job ids must be str, timestamp str or None")
@@ -132,7 +134,7 @@ class ExperimentRecord:
             raise ValueError("need one shots and one reps value per job")
         if np.any(shots < 1) or np.any(reps < 1):
             raise ValueError("shots and reps must be >= 1")
-        if sum(s * r for s, r in zip(shots.tolist(), reps.tolist())) > _INT64_MAX:
+        if sum(map(mul, shots.tolist(), reps.tolist())) > _INT64_MAX:  # Python ints: no wrap
             raise ValueError(f"total count sum(shots * reps) exceeds {_INT64_MAX}")
         if ones.shape != (int(reps.sum()), 20):
             raise ValueError(

@@ -93,15 +93,26 @@ def witness(p: np.ndarray) -> float:
 
 
 _IDX = np.array([[i for i in range(5) if i != k] for k in range(5)])
-# a[..., _ROWS[m], _COLS[m]] is a with row k and column j removed, for the
-# minor m = _MINOR[j, k]; an entries selector indexes _MINOR, so only the
-# selected minors are gathered.
+# Each 4x4 minor is expanded along its first two rows: a sum over six pairs of
+# columns of det(rows 0-1, the pair) * det(rows 2-3, the other two columns).
+# _LAPLACE lists each term's four columns in an order of sign +1, and _TERMS
+# swaps the bottom pair where (-1)^(j+k) = -1, so every adjugate entry is a
+# plain sum of six products of 2x2 determinants.
+_LAPLACE = np.array([(0, 1, 2, 3), (2, 0, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (3, 1, 0, 2), (2, 3, 0, 1)])
+_TERMS = np.stack([_LAPLACE, _LAPLACE[:, [0, 1, 3, 2]]])[np.add.outer(np.arange(5), np.arange(5)) % 2]
+# Entry e = x00, x01, x10, x11 of factor h (0 top, 1 bottom): its row in the
+# minor, and its place in the term's column order.
+_ROW_OF = np.array([[0, 2], [0, 2], [1, 3], [1, 3]])
+_COL_OF = np.array([[0, 2], [1, 3], [0, 2], [1, 3]])
+# a.reshape(-1, 25).T[_FLAT[..., m]] holds entry e of factor h of term t of
+# the minor m = _MINOR[j, k] (row k and column j of a removed) at [e, h, t]
+# of each of the n matrices, shape (4, 2, 6, n); an entries selector indexes
+# _MINOR, so only the selected minors are gathered.
 _MINOR = np.arange(25).reshape(5, 5)
-_ROWS, _COLS = (
-    x.reshape(25, 4, 4)
-    for x in np.broadcast_arrays(_IDX[None, :, :, None], _IDX[:, None, None, :])
-)
-_SIGNS = ((-1.0) ** np.add.outer(np.arange(5), np.arange(5))).ravel()
+_e, _h, _t, _j, _k = np.ix_(range(4), range(2), range(6), range(5), range(5))
+_FLAT = (
+    5 * _IDX[_k, _ROW_OF[_e, _h]] + _IDX[_j, _TERMS[_j, _k, _t, _COL_OF[_e, _h]]]
+).reshape(4, 2, 6, 25)
 
 
 def adjugate(p: np.ndarray, entries=...) -> np.ndarray:
@@ -114,15 +125,21 @@ def adjugate(p: np.ndarray, entries=...) -> np.ndarray:
     minors instead of 25.  The default is the whole adjugate.  A selector that
     does not index a 5x5 array raises IndexError.
 
-    The minors are gathered with one precomputed index and reduced by one
-    batched determinant call; no division, so it is well defined for singular
-    matrices and satisfies ``p @ Adj p = det(p) * I`` identically.
+    Each minor is a closed-form Laplace expansion in complementary 2x2 minors,
+    read from one precomputed gather of the entries; no division, so it is
+    well defined for singular matrices and satisfies ``p @ Adj p = det(p) * I``
+    to round-off.
     """
     a = np.asarray(p, dtype=float)
     if a.shape[-2:] != (5, 5):
         raise ValueError(f"expected a (..., 5, 5) array, got shape {a.shape}")
     m = _MINOR[entries]
-    return _SIGNS[m] * np.linalg.det(a[..., _ROWS[m], _COLS[m]])
+    x = a.reshape(-1, 25).T[_FLAT[..., m]]
+    m2 = x[0] * x[3] - x[1] * x[2]
+    t = m2[0] * m2[1]
+    t = t[:3] + t[3:]
+    adj = t[0] + t[1] + t[2]  # (*m.shape, n)
+    return adj.transpose(-1, *range(adj.ndim - 1)).reshape(a.shape[:-2] + np.shape(m))
 
 
 def witness_variance(p: np.ndarray, T: int) -> float:

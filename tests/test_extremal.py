@@ -15,8 +15,8 @@ from qubitcert.extremal import (
     MAX_RESTARTS,
     _SWEEPS,
     _TOL,
-    _random_point,
     _seesaw,
+    _starts,
     SearchResult,
     StrategyPoint,
     classical_max_detail,
@@ -172,6 +172,20 @@ def test_d4_search_regression():
     assert res.best_W == pytest.approx(D4_MAX, abs=1e-9)
 
 
+def test_known_landscapes():
+    """Where every restart of two small searches ends: the basins and how
+    many restarts reach each.  A change to the sweep's arithmetic may move a
+    restart's W in its last digits, but not which optimum it reaches."""
+
+    def basins(res, values):
+        return [int(np.sum(np.abs(res.restart_W - v) < 1e-6)) for v in values]
+
+    d3 = maximize_witness(3, "complex", restarts=50, seed=0)
+    assert basins(d3, (D3_COMPLEX_MAX, 0.6294065, D3_REAL_MAX)) == [21, 22, 7]
+    d4 = maximize_witness(4, "real", restarts=48, seed=0)
+    assert basins(d4, (D4_MAX, 1.5974026)) == [31, 17]
+
+
 def test_search_is_deterministic():
     a = maximize_witness(3, "real", restarts=3, seed=12)
     b = maximize_witness(3, "real", restarts=3, seed=12)
@@ -185,10 +199,49 @@ def test_search_point_reproduces_reported_witness():
     assert w == pytest.approx(res.best_W, abs=1e-9)
 
 
-def _one_restart_reference(d, field, seed, r):
-    """The see-saw run one restart at a time: (final W, sweeps, converged)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-    psi, effects = _random_point(d, field, rng)
+def _random_point(d, field, rng):
+    """A restart's start as the search drew it before ``_starts``: one
+    generator call per array, each vector normalised on its own."""
+
+    def rvec(shape):
+        v = rng.standard_normal(shape)
+        return v + 1j * rng.standard_normal(shape) if field == "complex" else v
+
+    psi = rvec((5, d))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    effects = np.empty((4, d, d), dtype=psi.dtype)
+    for k in range(4):
+        v = rvec(d)
+        v /= np.linalg.norm(v)
+        effects[k] = np.outer(v, v.conj())
+    return psi, effects
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_starts_are_one_draw_per_restart(d, field):
+    """Restart r's states are the bits ``_random_point`` draws from the
+    generator spawned as (seed, r), its projectors agree to round-off (the
+    two normalise a vector by differently ordered sums), and neither depends
+    on how many restarts are drawn."""
+    psis, effs = _starts(d, field, 4, 9)
+    dtype = np.complex128 if field == "complex" else np.float64
+    assert psis.shape == (9, 5, d) and effs.shape == (9, 4, d, d)
+    assert psis.dtype == effs.dtype == dtype
+    few = _starts(d, field, 4, 3)
+    for r in range(9):
+        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(r,)))
+        psi, effects = _random_point(d, field, rng)
+        assert psis[r].tobytes() == psi.tobytes(), r
+        assert np.max(np.abs(effs[r] - effects)) <= 1e-15, r
+        if r < 3:
+            assert few[0][r].tobytes() == psis[r].tobytes(), r
+            assert few[1][r].tobytes() == effs[r].tobytes(), r
+
+
+def _one_restart_reference(psi, effects):
+    """The see-saw run on one restart from the given start: (final W, sweeps,
+    converged)."""
 
     def rows(ps, ef):
         return np.einsum("jd,kde,je->kj", ps.conj(), ef, ps).real
@@ -199,11 +252,11 @@ def _one_restart_reference(d, field, seed, r):
         w_start = w
         for k in range(4):
             cof = adjugate(p).T
-            g = np.einsum("j,jd,je->de", cof[k], psi, psi.conj())
+            g = (psi * cof[k][:, None]).T @ psi.conj()
             lam, v = np.linalg.eigh(g)
             keep = v * (lam > 0.0)
             effects[k] = keep @ v.conj().T
-            p[k] = rows(psi, effects[k : k + 1])[0]
+            p[k] = ((psi.conj() @ effects[k]) * psi).sum(-1).real
         for j in range(5):
             cof = adjugate(p).T
             h = np.einsum("k,kde->de", cof[:4, j], effects)
@@ -220,9 +273,10 @@ def _one_restart_reference(d, field, seed, r):
 def test_batched_restarts_match_one_at_a_time(problem):
     d, field = problem
     _, _, ws, n_sweeps, convs = _seesaw(d, field, 7, 6, _SWEEPS)
+    psis, effs = _starts(d, field, 7, 6)
     for r in range(6):
         got = (ws[r], n_sweeps[r], convs[r])
-        assert got == _one_restart_reference(d, field, 7, r), r
+        assert got == _one_restart_reference(psis[r].copy(), effs[r].copy()), r
 
 
 def test_restart_results_do_not_depend_on_batch_size():
@@ -274,6 +328,23 @@ def test_restart_validation(no_seesaw):
         maximize_witness(2, "complex", restarts=0)
     with pytest.raises(ValueError, match=f"{MAX_RESTARTS + 1} .*{MAX_RESTARTS}"):
         maximize_witness(4, "complex", restarts=MAX_RESTARTS + 1)
+    for kwargs, name in [
+        ({"restarts": True}, "restarts"),
+        ({"restarts": np.bool_(True)}, "restarts"),
+        ({"restarts": 2.5}, "restarts"),
+        ({"restarts": 2.0}, "restarts"),
+        ({"restarts": "2"}, "restarts"),
+        ({"restarts": 2, "seed": 1.5}, "seed"),
+        ({"restarts": 2, "seed": True}, "seed"),
+        ({"restarts": 2, "seed": None}, "seed"),
+        ({"restarts": 2, "seed": -1}, "seed"),
+        ({"restarts": 2, "seed": np.int64(-3)}, "seed"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            maximize_witness(3, "real", **kwargs)
+    # numpy integers pass the checks and reach the see-saw
+    with pytest.raises(AssertionError, match="see-saw ran"):
+        maximize_witness(3, "real", restarts=np.int64(2), seed=np.uint8(1))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

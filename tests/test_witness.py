@@ -141,6 +141,45 @@ def test_batched_adjugate_matches_per_matrix(rng):
     assert np.array_equal(adjugate(stack.reshape(7, 1, 5, 5))[:, 0], batched)
 
 
+_MINOR_IDX = np.array([[i for i in range(5) if i != k] for k in range(5)])
+
+
+def _lu_adjugate(p):
+    """The adjugate with every 4x4 minor gathered and reduced by LU
+    (np.linalg.det), the way it was computed before the closed form."""
+    rows, cols = (
+        x.reshape(25, 4, 4)
+        for x in np.broadcast_arrays(_MINOR_IDX[None, :, :, None], _MINOR_IDX[:, None, None, :])
+    )
+    signs = (-1.0) ** np.add.outer(np.arange(5), np.arange(5)).ravel()
+    return (signs * np.linalg.det(p[..., rows, cols])).reshape(p.shape)
+
+
+def _hard_stack(rng):
+    """10^4 behaviour matrices: 6000 random, 2000 exactly singular qubit
+    matrices p_kj = (1 + m_k . s_j) / 2 with dyadic Bloch vectors (every entry
+    exact, det p = 0 in exact arithmetic), and 2000 random ones with one
+    column copied onto another."""
+    rand = rng.uniform(0.0, 1.0, (8000, 4, 5))
+    m, s = (rng.integers(-2, 3, (2000, n, 3)) / 4.0 for n in (4, 5))
+    qubit = 0.5 * (1.0 + m @ s.swapaxes(1, 2))
+    a = rng.integers(0, 5, 2000)
+    b = (a + rng.integers(1, 5, 2000)) % 5
+    rand[np.arange(6000, 8000), :, b] = rand[np.arange(6000, 8000), :, a]
+    return prob_matrix(np.concatenate([rand, qubit]))
+
+
+def test_adjugate_on_singular_and_repeated_column_stacks(rng):
+    p = _hard_stack(rng)
+    adj = adjugate(p)
+    assert not np.isnan(adj).any()
+    residual = p @ adj - np.linalg.det(p)[:, None, None] * np.eye(5)
+    assert np.max(np.abs(residual)) <= 1e-14
+    assert np.max(np.abs(adj - _lu_adjugate(p))) <= 1e-15
+    # the last 4000 are singular
+    assert np.max(np.abs(np.linalg.det(p[6000:]))) < 1e-15
+
+
 #: the selectors the see-saw passes: column k for the effect update, the first
 #: four entries of row j for the preparation update
 SWEEP_SELECTORS = [(slice(None), k) for k in range(4)] + [
