@@ -224,6 +224,7 @@ def _seesaw(d: int, field: str, seed: int, restarts: int, sweeps: int):
             h = np.einsum("rk,rkde->rde", c, ef)
             lam, v = np.linalg.eigh(h)
             ps[:, j] = v[:, :, -1]
+            # one state against four effects: einsum beats a batched matmul here
             pp[:, :4, j] = _rows_from(ps[:, j : j + 1], ef)[:, :, 0]
         w_new = np.linalg.det(pp)
         done = np.abs(w_new - w) < _TOL
