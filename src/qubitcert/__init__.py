@@ -7,64 +7,15 @@ therefore certifies behaviour beyond two dimensions.  This package computes W
 and its shot-noise error, simulates the counting experiment, models noise
 channels the witness is blind to (and one it is not), and reproduces the
 known extremal values of W in higher dimensions by numerical search.
+
+Import each name from the module that defines it, for example
+``from qubitcert.extremal import maximize_witness``; the package itself holds
+only ``__version__``.  The modules are ``bloch`` (Bloch vectors), ``witness``
+(the behaviour matrix, W, its adjugate and variance), ``configs``
+(configurations and their JSON), ``noise`` (noise channels, drift ensembles
+and their bound), ``sampling`` (records, simulation, estimators), ``extremal``
+(the search for extremal W), ``reports`` (the analysis report and its
+renderings) and ``cli`` (the ``qubitcert`` command).
 """
 
 __version__ = "0.1.0"
-
-from .configs import (
-    BUILTIN_IDS,
-    ConfigSet,
-    builtin_config,
-    parametric_config,
-    predicted_prob_matrix,
-)
-from .extremal import (
-    SearchResult,
-    StrategyPoint,
-    maximize_witness,
-)
-from .noise import (
-    DriftModel,
-    apply_common_leakage,
-    apply_readout_error,
-    coherent_leak_prob_matrix,
-    drift_bound,
-    generate_drift_ensemble,
-)
-from .sampling import (
-    ExperimentRecord,
-    estimate_per_job,
-    estimate_pooled,
-    load_record,
-    save_record,
-    simulate_record,
-)
-from .witness import WitnessResult, prob_matrix, witness, witness_variance
-
-__all__ = [
-    "__version__",
-    "BUILTIN_IDS",
-    "ConfigSet",
-    "builtin_config",
-    "parametric_config",
-    "predicted_prob_matrix",
-    "SearchResult",
-    "StrategyPoint",
-    "maximize_witness",
-    "DriftModel",
-    "apply_common_leakage",
-    "apply_readout_error",
-    "coherent_leak_prob_matrix",
-    "drift_bound",
-    "generate_drift_ensemble",
-    "ExperimentRecord",
-    "estimate_per_job",
-    "estimate_pooled",
-    "load_record",
-    "save_record",
-    "simulate_record",
-    "WitnessResult",
-    "prob_matrix",
-    "witness",
-    "witness_variance",
-]

@@ -25,6 +25,7 @@ from .configs import (
     builtin_config,
     config_bloch_vectors,
     load_config,
+    predicted_prob_matrix,
     save_config,
 )
 from .extremal import (
@@ -41,7 +42,6 @@ from .noise import (
     coherent_leak_prob_matrix,
     drift_bound,
     generate_drift_ensemble,
-    predicted_prob_matrix,
 )
 from .reports import analyze_record, render_text, write_scatter_csv, write_scatter_svg
 from .sampling import (
@@ -159,7 +159,9 @@ def cmd_simulate(args) -> int:
                 "(--coherent-leak, --leak-lambda, --leak-mu, --readout-e0/e1): "
                 "drifted matrices are re-derived from the clean gate angles"
             )
-        drift = DriftModel(args.drift_eps, args.jobs, args.drift_mode)
+        drift = DriftModel(args.drift_eps, args.jobs, args.drift_mode or "angle-jitter")
+    elif args.drift_mode is not None:
+        raise ValueError("--drift-mode has no effect without a nonzero --drift-eps")
     if args.leak_mu and not args.leak_lambda:
         # mu is the response of the leaked weight lambda, so alone it is a no-op
         raise ValueError("--leak-mu has no effect without a nonzero --leak-lambda")
@@ -246,7 +248,7 @@ def cmd_audit_drift(args) -> int:
     # modes inside blocks: the second mode of a block replays the trial
     # seeding of the first
     worst = [0.0] * len(modes)
-    block = max(1, AUDIT_BLOCK_MEMBERS // args.jobs)
+    block = AUDIT_BLOCK_MEMBERS // args.jobs
     for start in range(0, args.trials, block):
         for i, model in enumerate(models):
             ensembles = generate_drift_ensemble(
@@ -319,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--readout-e0", type=float, default=0.0, help="P(read 1 | true 0)")
     p.add_argument("--readout-e1", type=float, default=0.0, help="P(read 0 | true 1)")
     p.add_argument("--drift-eps", type=float, default=0.0, help="per-job drift budget")
-    p.add_argument(
-        "--drift-mode", choices=["angle-jitter", "column-mix"], default="angle-jitter"
-    )
+    p.add_argument("--drift-mode", choices=["angle-jitter", "column-mix"])
     p.add_argument(
         "--coherent-leak", type=float, default=None, metavar="CHI",
         help="coherent leak angle per gate (three-level model)",

@@ -126,8 +126,6 @@ _PREPS_II_FIXED = (
     (ETA + _PI / 3, -2 * _PI / 3),
 )
 
-BUILTIN_IDS = ("I-prime", "I-second", "II-0", "II-1", "II-2", "II-3", "II-4")
-
 
 def parametric_config(i: float) -> ConfigSet:
     """Case-II configuration with fifth preparation alpha_5 = 2*pi*i/5.
@@ -155,6 +153,7 @@ def _builtin_table() -> dict[str, ConfigSet]:
 
 
 _BUILTINS = _builtin_table()
+BUILTIN_IDS = tuple(_BUILTINS)
 
 
 def builtin_config(id: str) -> ConfigSet:

@@ -246,8 +246,6 @@ def _leaky_gate(gamma: float, chi: float) -> np.ndarray:
     z = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
     u = np.eye(3, dtype=complex)
     u[:2, :2] = z.conj().T @ _S_QUBIT @ z
-    if chi == 0.0:
-        return u
     c, s = math.cos(0.5 * chi), math.sin(0.5 * chi)
     leak = np.eye(3, dtype=complex)
     leak[1:, 1:] = [

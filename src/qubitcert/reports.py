@@ -94,13 +94,6 @@ def write_scatter_csv(report: AnalysisReport, path: str | Path) -> None:
 # Minimal deterministic SVG scatter
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
-
-
 def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
     """Per-job scatter with error bars and both method lines.
 
@@ -138,7 +131,7 @@ def write_scatter_svg(report: AnalysisReport, path: str | Path) -> None:
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>'
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>'
     )
-    for t in _ticks(lo, hi):
+    for t in np.linspace(lo, hi, 5).tolist():
         y = py(t)
         e.append(
             f'<line x1="{ml - 4}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>'

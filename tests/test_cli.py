@@ -186,6 +186,19 @@ def test_simulate_rejects_leak_mu_without_leak_lambda(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", [[], ["--drift-eps", "0"]], ids=["no-eps", "eps-0"])
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+def test_simulate_rejects_drift_mode_without_drift_eps(tmp_path, capsys, eps, mode):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--drift-mode", mode, *eps, "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--drift-mode" in stderr and "--drift-eps" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["-0.1", "nan"])
 def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
     out = tmp_path / "r.json"
