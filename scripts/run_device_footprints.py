@@ -42,7 +42,7 @@ def main() -> None:
         for cid in BUILTIN_IDS:
             cfg = builtin_config(cid)
             clean = simulate_record(
-                predicted_prob_matrix(cfg), *footprint, args.seed, config=cfg, device=device
+                predicted_prob_matrix(cfg), *footprint, args.seed, config_id=cid, device=device
             )
             z_i = estimate_per_job(clean)[0].z
             z_ii = estimate_pooled(clean).z
@@ -51,7 +51,7 @@ def main() -> None:
                 coherent_leak_prob_matrix(cfg, args.leak),
                 *footprint,
                 args.seed,
-                config=cfg,
+                config_id=cid,
                 device=device,
             )
             z_leak = estimate_pooled(leaky).z

@@ -46,18 +46,19 @@ def reduce_angle(gamma: float) -> float:
     return 0.0 if reduced == TWO_PI else reduced
 
 
+def _bloch(d, g) -> np.ndarray:
+    """The closed form (sin d cos g, -sin d sin g, -cos d) of both kinds of
+    vector, broadcast over the angles; the trailing axis indexes (x, y, z)."""
+    return np.stack([np.sin(d) * np.cos(g), -np.sin(d) * np.sin(g), -np.cos(d)], axis=-1)
+
+
 def prep_bloch_vectors(alpha, beta) -> np.ndarray:
     """Closed-form Bloch vectors of preparations S_beta S_alpha |0>.
 
     Broadcasts over array-valued angles; the trailing axis indexes (x, y, z).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    d = beta - alpha
-    return np.stack(
-        [np.sin(d) * np.cos(beta), -np.sin(d) * np.sin(beta), -np.cos(d)],
-        axis=-1,
-    )
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    return _bloch(beta - alpha, beta)
 
 
 def meas_bloch_vectors(theta, phi) -> np.ndarray:
@@ -66,10 +67,5 @@ def meas_bloch_vectors(theta, phi) -> np.ndarray:
     The returned vector is the Heisenberg picture of the ``|0>`` projector:
     m = R(phi)^T R(theta)^T e_z.  Broadcasts like :func:`prep_bloch_vectors`.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    d = theta - phi
-    return np.stack(
-        [np.sin(d) * np.cos(phi), -np.sin(d) * np.sin(phi), -np.cos(d)],
-        axis=-1,
-    )
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    return _bloch(theta - phi, phi)

@@ -174,9 +174,10 @@ def cmd_simulate(args) -> int:
     if args.readout_e0 or args.readout_e1:
         true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
 
+    job_ps = true_p if drift is None else generate_drift_ensemble(config, drift, args.seed)[0]
     record = simulate_record(
-        true_p, args.jobs, args.shots, args.reps, args.seed, drift,
-        config=config, device=args.device,
+        job_ps, args.jobs, args.shots, args.reps, args.seed,
+        config_id=config.id, device=args.device,
     )
     save_record(record, args.out)
     t = args.jobs * args.shots * args.reps
@@ -381,6 +382,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: the run does not fit in memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

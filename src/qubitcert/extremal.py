@@ -8,9 +8,7 @@ onto the positive eigenspace of ``G_k``.  Likewise the optimal j-th
 preparation is the top eigenvector of ``H_j = sum_k C_kj M_k``.  Alternating
 these closed-form updates is a monotone coordinate ascent on det p ("see-saw")
 that converges to a stationary point in a few dozen sweeps; random restarts
-handle the nonconvexity.  The search reports the best restart's see-saw point
-as it stands: a Nelder-Mead polish of that point gained at most 4.7e-14 in W
-(d=3 complex) for most of the run time, so there is none.
+handle the nonconvexity.  The search reports the best restart's see-saw point.
 
 All restarts ascend as one batch: stacked ``(R, 5, d)`` states,
 ``(R, 4, d, d)`` effects and ``(R, 5, 5)`` probability matrices, with batched

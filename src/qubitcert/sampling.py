@@ -41,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configs import ConfigSet
-from .noise import DriftModel, generate_drift_ensemble
+# never called here: a patch target of the benchmark tracer until it drops it
+from .noise import generate_drift_ensemble  # noqa: F401
 from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
@@ -158,41 +158,36 @@ def simulate_record(
     shots: int,
     repetitions: int,
     seed: int = 0,
-    per_job_noise: DriftModel | None = None,
     *,
-    config: ConfigSet | None = None,
+    config_id: str = "custom",
     device: str = "simulator",
 ) -> ExperimentRecord:
     """Draw binomial counts for ``n_jobs`` jobs of ``repetitions`` x ``shots``
     shots of every circuit, so that each cell holds T = n_jobs * shots *
     repetitions counts.
 
-    The record's config id is ``config.id``, or "custom" without a config.
-    With ``per_job_noise`` set, each job samples from its own drifted matrix
-    (generated from ``config``, which is then required, since drifted matrices
-    are re-derived from the gate angles).  Each job's counts come from an
+    ``true_p`` is one (5, 5) matrix that every job samples, or an
+    ``(n_jobs, 5, 5)`` stack with one matrix per job, such as a drifting run
+    of ``generate_drift_ensemble``.  Each job's counts come from an
     independent generator spawned from ``(seed, job index)``, so records are
     reproducible and independent of execution order.
     """
     _check_run(n_jobs, shots, repetitions, seed)
-    if per_job_noise is not None:
-        if config is None:
-            raise ValueError("per_job_noise requires the generating config")
-        if per_job_noise.n_jobs != n_jobs:
-            raise ValueError(
-                f"per_job_noise has {per_job_noise.n_jobs} jobs but n_jobs is {n_jobs}"
-            )
-        job_ps = generate_drift_ensemble(config, per_job_noise, seed)[0]
-    else:
-        job_ps = [true_p] * n_jobs
-
+    job_ps = np.asarray(true_p)
+    if job_ps.shape == (5, 5):
+        job_ps = np.broadcast_to(job_ps, (n_jobs, 5, 5))
+    elif job_ps.shape != (n_jobs, 5, 5):
+        raise ValueError(
+            f"true_p must have shape (5, 5) or (n_jobs, 5, 5) with n_jobs = {n_jobs}, "
+            f"got {job_ps.shape}"
+        )
+    cells = job_ps[:, :4].reshape(n_jobs, 20)
     ones = []
     for n in range(n_jobs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
-        cells = job_ps[n][:4].reshape(20)
-        ones.append(rng.binomial(shots, cells, size=(repetitions, 20)))
+        ones.append(rng.binomial(shots, cells[n], size=(repetitions, 20)))
     return ExperimentRecord(
-        config.id if config is not None else "custom",
+        config_id,
         device,
         tuple(f"job-{n:04d}" for n in range(n_jobs)),
         np.full(n_jobs, shots),

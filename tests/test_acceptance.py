@@ -200,12 +200,12 @@ def test_criterion_8_reference_footprint_z_scores():
     cfg = builtin_config("II-0")
 
     clean = simulate_record(
-        predicted_prob_matrix(cfg), *run, config=cfg, device="nairobi"
+        predicted_prob_matrix(cfg), *run, config_id=cfg.id, device="nairobi"
     )
     z_clean = estimate_pooled(clean).z
 
     leaky_p = coherent_leak_prob_matrix(cfg, 0.3)
-    leaky = simulate_record(leaky_p, *run, config=cfg, device="nairobi")
+    leaky = simulate_record(leaky_p, *run, config_id=cfg.id, device="nairobi")
     z_leak = estimate_pooled(leaky).z
 
     t = time.perf_counter() - t0

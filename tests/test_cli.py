@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import qubitcert.cli as cli
-import qubitcert.sampling as sampling
 from qubitcert.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_IO,
@@ -22,8 +21,8 @@ from qubitcert.cli import (
 )
 from qubitcert.configs import builtin_config, load_config, predicted_prob_matrix
 from qubitcert.extremal import MAX_RESTARTS
-from qubitcert.noise import DriftModel, drift_bound
-from qubitcert.sampling import load_record
+from qubitcert.noise import DriftModel, apply_readout_error, drift_bound
+from qubitcert.sampling import load_record, save_record, simulate_record
 from qubitcert.witness import witness
 
 from drift_reference import reference_ensemble, reference_worst
@@ -233,6 +232,60 @@ def test_simulate_rejects_total_count_beyond_int64(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+def test_simulate_drift_rejects_a_job_count_numpy_cannot_index(tmp_path, capsys, mode):
+    """The drifted matrices are built before the run is checked, so numpy's
+    own error rejects the job count before the total-count check can."""
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "4611686018427387904",
+        "--shots", "4", "--drift-eps", "0.01", "--drift-mode", mode, "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_drift_ensemble", no_memory)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "1000000000", "--shots", "1",
+        "--drift-eps", "0.01", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr == "error: the run does not fit in memory\n"
+    assert not out.exists()
+
+
+def test_simulate_readout_error_record(tmp_path, capsys):
+    out, expected = tmp_path / "r.json", tmp_path / "expected.json"
+    code, _, _ = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "3", "--shots", "200",
+        "--seed", "4", "--readout-e0", "0.05", "--readout-e1", "0.1", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    truth = apply_readout_error(predicted_prob_matrix(builtin_config("II-0")), 0.05, 0.1)
+    save_record(simulate_record(truth, 3, 200, 1, 4, config_id="II-0"), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_simulate_rejects_readout_errors_summing_past_one(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, _ = run(
+        capsys, "simulate", "--config", "II-0", "--readout-e0", "0.7",
+        "--readout-e1", "0.5", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
 def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, monkeypatch, mode):
     argv = [
         "simulate", "--config", "II-0", "--jobs", "7", "--shots", "300", "--reps", "2",
@@ -241,7 +294,7 @@ def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, mon
     code, _, _ = run(capsys, *argv, str(tmp_path / "batched.json"))
     assert code == EXIT_OK
     monkeypatch.setattr(
-        sampling,
+        cli,
         "generate_drift_ensemble",
         lambda config, model, seed: reference_ensemble(config, model, seed)[None],
     )
@@ -326,6 +379,22 @@ def test_analyze_flags_coherent_leak(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", str(rec))
     assert code == EXIT_OK
     assert "FAIL" in stdout
+
+
+def test_analyze_zero_variance_record(tmp_path, capsys):
+    """A record whose every count is 0 has sigma = 0 for both methods, so no
+    z-score and no verdict either way."""
+    doc = {"format": 2, "config_id": "II-0", "device": "sim", "jobs": [
+        {"job_id": f"j{n}", "shots": 10, "repetitions": 1, "ones": [0] * 20}
+        for n in range(3)
+    ]}
+    rec, csv, svg = tmp_path / "rec.json", tmp_path / "s.csv", tmp_path / "s.svg"
+    rec.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "analyze", str(rec), "--out", str(csv), "--svg", str(svg))
+    assert code == EXIT_OK
+    assert "verdict:          UNDEFINED (zero variance)" in stdout
+    assert csv.read_text().startswith("job_index,W")
+    assert svg.read_text().startswith("<svg")
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -445,11 +514,14 @@ def _set(path, value):
         (_set(["jobs", 0, "counts"], [[[0, 300]] * 20]), "jobs[0].counts"),
         (lambda doc: doc["jobs"][1].pop("ones"), "jobs[1].ones"),
         (lambda doc: doc.pop("format"), "jobs[0].ones"),
+        (_set(["jobs", 0, "shots"], 0), "jobs[0].shots"),
+        (_set(["jobs", 2, "repetitions"], 0), "jobs[2].repetitions"),
     ],
     ids=[
         "format-3", "format-1", "format-str", "format-bool", "format-float", "short-ones",
         "long-ones", "ones-not-a-list", "float-leaf", "bool-leaf", "negative-leaf",
         "leaf-above-shots", "counts-in-format-2", "no-ones", "no-format-key",
+        "zero-shots", "zero-repetitions",
     ],
 )
 def test_analyze_names_the_faulty_format_2_field(tmp_path, capsys, edit, field):

@@ -67,6 +67,8 @@ def test_strategy_point_validation(rng):
         StrategyPoint(psi, bad)
     with pytest.raises(ValueError):
         StrategyPoint(psi[:4], effects)
+    with pytest.raises(ValueError, match=r"effects must be 4 x 3 x 3, got \(3, 3, 3\)"):
+        StrategyPoint(psi, effects[:3])
 
 
 def test_search_result_rejects_impossible_witness(rng):

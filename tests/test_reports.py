@@ -30,7 +30,7 @@ from conftest import record_to_v1_dict
 @pytest.fixture
 def record():
     cfg = builtin_config("I-second")
-    return simulate_record(predicted_prob_matrix(cfg), 8, 2000, 2, 13, config=cfg)
+    return simulate_record(predicted_prob_matrix(cfg), 8, 2000, 2, 13, config_id=cfg.id)
 
 
 def test_report_structure(record):
@@ -60,7 +60,7 @@ def test_render_text_flags_large_z(record):
 
 def test_render_text_single_job():
     cfg = builtin_config("II-0")
-    rec = simulate_record(predicted_prob_matrix(cfg), 1, 500, 1, 2, config=cfg)
+    rec = simulate_record(predicted_prob_matrix(cfg), 1, 500, 1, 2, config_id=cfg.id)
     rep = analyze_record(rec)
     assert rep.per_job.z is None
     assert "undef" in render_text(rep)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitcert.configs import builtin_config, predicted_prob_matrix
-from qubitcert.noise import DriftModel
+from qubitcert.noise import DriftModel, generate_drift_ensemble
 from qubitcert.sampling import (
     ExperimentRecord,
     RecordSchemaError,
@@ -107,6 +107,10 @@ def test_job_record_validation():
         ExperimentRecord("II-0", "sim", ("j", "j"), [50, 50], [1, 1], ones)
     with pytest.raises(ValueError, match="total count"):  # sum wraps in int64
         ExperimentRecord("II-0", "sim", ("j", "k"), [2**62, 2**62], [1, 1], ones)
+    with pytest.raises(ValueError, match="shots and reps must be >= 1"):
+        ExperimentRecord("II-0", "sim", ("j",), [0], [2], ones)
+    with pytest.raises(ValueError, match="shots and reps must be >= 1"):
+        ExperimentRecord("II-0", "sim", ("j",), [50], [0], np.zeros((0, 20), np.int64))
 
 
 def test_record_requires_jobs():
@@ -214,8 +218,8 @@ def test_every_record_the_constructor_accepts_saves_and_loads_back(args):
 
 
 def test_simulation_is_deterministic(truth, small_run):
-    a = simulate_record(truth, *small_run, config=builtin_config("I-second"))
-    b = simulate_record(truth, *small_run, config=builtin_config("I-second"))
+    a = simulate_record(truth, *small_run, config_id="I-second")
+    b = simulate_record(truth, *small_run, config_id="I-second")
     assert a.config_id == "I-second"
     assert a.job_ids == b.job_ids
     assert np.array_equal(a.ones, b.ones)
@@ -244,28 +248,24 @@ def test_degenerate_probabilities_sample_exactly():
     assert np.all(ones[:, :, 1:] == 0)
 
 
-def test_drift_requires_config(truth, small_run):
-    with pytest.raises(ValueError, match="config"):
-        simulate_record(truth, *small_run, DriftModel(0.01, 4))
+def test_each_job_samples_its_own_matrix():
+    stack = prob_matrix(np.stack([np.zeros((4, 5)), np.ones((4, 5)), np.zeros((4, 5))]))
+    rec = simulate_record(stack, 3, 100, 2, 1)
+    assert rec.ones.reshape(3, 2, 20)[:, :, 0].tolist() == [[0, 0], [100, 100], [0, 0]]
 
 
 @pytest.mark.parametrize("drift_jobs", [3, 10])
 def test_drift_job_count_must_match_plan(truth, drift_jobs):
     """Too many drifted matrices were once silently cut, too few an IndexError."""
-    with pytest.raises(ValueError, match=f"{drift_jobs} jobs but n_jobs is 5"):
-        simulate_record(
-            truth, 5, 100, 1, 2, DriftModel(0.02, drift_jobs), config=builtin_config("II-0")
-        )
+    stack = np.broadcast_to(truth, (drift_jobs, 5, 5))
+    with pytest.raises(ValueError, match=rf"n_jobs = 5, got \({drift_jobs}, 5, 5\)"):
+        simulate_record(stack, 5, 100, 1, 2)
 
 
 def test_drift_simulation_runs(small_run):
     cfg = builtin_config("II-0")
-    rec = simulate_record(
-        predicted_prob_matrix(cfg),
-        *small_run,
-        DriftModel(0.02, 4, "column-mix"),
-        config=cfg,
-    )
+    drifted = generate_drift_ensemble(cfg, DriftModel(0.02, 4, "column-mix"), small_run[-1])[0]
+    rec = simulate_record(drifted, *small_run, config_id=cfg.id)
     assert rec.config_id == "II-0"
     assert len(rec.job_ids) == 4
 
@@ -424,7 +424,7 @@ def test_bias_study_reproduces_its_recorded_draws(truth):
 
 def test_record_round_trip(tmp_path, truth, small_run):
     rec = simulate_record(
-        truth, *small_run, config=builtin_config("I-second"), device="simulator"
+        truth, *small_run, config_id="I-second", device="simulator"
     )
     path = tmp_path / "rec.json"
     save_record(rec, path)

@@ -245,6 +245,13 @@ def test_variance_scales_inversely_with_counts(rng):
     assert abs(v1 / v2 - 4.0) < 1e-12
 
 
+def test_witness_and_variance_reject_bad_input(rng):
+    with pytest.raises(ValueError, match=r"5x5 matrix, got shape \(4, 5\)"):
+        witness(np.ones((4, 5)))
+    with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+        witness_variance(prob_matrix(random_prob_rows(rng)), 0)
+
+
 def test_variance_closed_form(rng):
     """Cross-check against an index-by-index loop over the first four rows
     (the ones row contributes nothing: its entries have p(1-p) = 0)."""
