@@ -18,13 +18,14 @@ the first four entries of row j (4 minors) for preparation j, not the full 25;
 :func:`~qubitcert.witness.adjugate` expands each minor in closed form.  A
 real-field search runs in float64 throughout, a complex one in complex128.
 Restart r's start is one draw of normals from its own generator, spawned as
-(seed, r), and every start is normalised in one batch.  A sweep updates only
-the restarts still active; a restart freezes once its sweep-to-sweep change in
-W falls below 1e-14 (converged) or at the sweep cap, and the active state is
-compacted only on a sweep where some restart freezes.  Every per-restart
-operation acts on one slice at a time, so a restart ends at the same bits
-whatever the batch size.  The winner is the restart with the largest W, the
-lowest index on an exact tie.
+(seed, r) and seeded with the others in one batched pass
+(:mod:`~qubitcert.seeding`), and every start is normalised in one batch.  A
+sweep updates only the restarts still active; a restart freezes once its
+sweep-to-sweep change in W falls below 1e-14 (converged) or at the sweep cap,
+and the active state is compacted only on a sweep where some restart
+freezes.  Every per-restart operation acts on one slice at a time, so a
+restart ends at the same bits whatever the batch size.  The winner is the
+restart with the largest W, the lowest index on an exact tie.
 
 Known targets reproduced by the search: 0 in d=2 (identically), 27*sqrt(2)/64
 in d=3 over the reals, about 0.6319 in d=3 over the complex field, and
@@ -44,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .seeding import generators, spawned_seed_words
 from .witness import W_CEILING, adjugate, prob_matrix
 
 __all__ = [
@@ -171,8 +173,7 @@ def _starts(d: int, field: str, seed: int, restarts: int) -> tuple[np.ndarray, n
     it."""
     parts = 2 if field == "complex" else 1
     z = np.empty((restarts, 9 * parts, d))
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+    for r, rng in enumerate(generators(spawned_seed_words(seed, restarts))):
         rng.standard_normal(out=z[r])
     if field == "complex":
         v = z[:, 10:].reshape(restarts, 4, 2, d)

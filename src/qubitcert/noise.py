@@ -16,6 +16,11 @@ One channel is built to be seen: a coherent leak where each gate rotates part
 of the qubit amplitude into a third level by a phase-dependent amount.  That
 makes outcome probabilities depend on the gate phases in a way no qubit model
 can reproduce, so the witness picks it up.
+
+Drift trial ``t`` draws the stream of ``default_rng(seed + t)``.  A block of
+trials is seeded in one batched pass (:mod:`~qubitcert.seeding`), and each
+trial draws its unit uniforms straight into the block's array, which is then
+mapped to its range as ``Generator.uniform`` maps them.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
+from .seeding import generators, offset_seed_words
 from .witness import prob_matrix
 
 __all__ = [
@@ -177,12 +183,23 @@ def _reference_rows(config: ConfigSet) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _trial_states(seed: int, trials: int) -> tuple[dict, ...]:
-    """The initial state of ``default_rng(seed + t)``'s bit generator for each
-    of ``trials`` runs.  Seeding costs several times what one run draws, and
-    an audit reads the same block of seeds once per drift mode, so the last
+def _trial_states(seed: int, trials: int) -> np.ndarray:
+    """The seed words of ``default_rng(seed + t)``'s bit generator for each of
+    ``trials`` runs, from one batched pass of :mod:`~qubitcert.seeding`.  An
+    audit reads the same block of seeds once per drift mode, so the last
     block is kept for the next mode to replay."""
-    return tuple(np.random.PCG64(seed + t).state for t in range(trials))
+    words = offset_seed_words(seed, trials)
+    words.flags.writeable = False
+    return words
+
+
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map unit draws ``u`` in place to ``Generator.uniform(lo, hi)``'s
+    values: ``lo + (hi - lo) * u``, the same float operations in the same
+    order, so the bits agree."""
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def generate_drift_ensemble(
@@ -203,27 +220,24 @@ def generate_drift_ensemble(
     eps, n_jobs = model.epsilon, model.n_jobs
     if eps == 0.0:
         return prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))
-    states = _trial_states(seed, trials)
-    # one generator replays every run: its own seeding is never drawn from,
-    # since each run sets the state it starts from
-    bit_gen = np.random.PCG64()
-    rng = np.random.Generator(bit_gen)
+    runs = generators(_trial_states(seed, trials))
+    # each run draws its unit uniforms straight into its block, and the
+    # block is mapped to its range once
     if model.perturbation_mode == "angle-jitter":
         delta = eps / _JITTER_LIPSCHITZ
         jit = np.empty((trials, n_jobs, 18))
-        for t, state in enumerate(states):
-            bit_gen.state = state
-            jit[t] = rng.uniform(-delta, delta, size=(n_jobs, 18))
-        rows = _jitter_rows(config, jit)
+        for t, rng in enumerate(runs):
+            rng.random(out=jit[t])
+        rows = _jitter_rows(config, _uniform(jit, -delta, delta))
     else:
         # per run: column and perturbation of pattern a, then of pattern b
         t = np.empty(2 * trials, dtype=np.int64)
         e0 = np.empty((2 * trials, 4, 5))
-        for i, state in enumerate(states):
-            bit_gen.state = state
+        for i, rng in enumerate(runs):
             for k in (2 * i, 2 * i + 1):
                 t[k] = rng.integers(0, 5)
-                e0[k] = rng.uniform(-eps, eps, size=(4, 5))
+                rng.random(out=e0[k])
+        e0 = _uniform(e0, -eps, eps)
         patterns = _column_mix_patterns(ref, eps, t, e0).reshape(trials, 2, 4, 5)
         rows = patterns[:, np.arange(n_jobs) % 2]
     return prob_matrix(rows)

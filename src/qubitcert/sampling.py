@@ -13,6 +13,10 @@ fact; both return a :class:`~qubitcert.witness.WitnessResult`:
 * pooled ("method ii"): pool counts across all jobs into one matrix, take a
   single determinant.
 
+Job ``n`` of a simulated record draws from the generator spawned as
+``(seed, n)``; every job's starting state is computed before the first draw,
+in one batched pass (:mod:`~qubitcert.seeding`).
+
 Because every term of the determinant's Leibniz expansion touches five
 distinct cells and cells are sampled independently, ``det p_hat`` is an
 exactly unbiased estimator of ``det p`` at any shot count — for both methods.
@@ -43,11 +47,13 @@ import numpy as np
 
 # never called here: a patch target of the benchmark tracer until it drops it
 from .noise import generate_drift_ensemble  # noqa: F401
+from .seeding import generators, spawned_seed_words
 from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
     "ExperimentRecord",
     "RecordSchemaError",
+    "check_run",
     "simulate_record",
     "estimate_per_job",
     "estimate_pooled",
@@ -69,10 +75,11 @@ class RecordSchemaError(ValueError):
         self.field = field_path
 
 
-def _check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
-    """Reject a run of ``n_jobs`` jobs of ``repetitions`` x ``shots`` shots
-    that is empty, has a negative seed, or puts more counts in a cell,
-    T = n_jobs * shots * repetitions, than int64 holds."""
+def check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
+    """The plan check of :func:`simulate_record`: reject a run of ``n_jobs``
+    jobs of ``repetitions`` x ``shots`` shots that is empty, has a negative
+    seed, or puts more counts in a cell, T = n_jobs * shots * repetitions,
+    than int64 holds."""
     for name, value in (("n_jobs", n_jobs), ("shots", shots), ("repetitions", repetitions)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -170,9 +177,10 @@ def simulate_record(
     ``(n_jobs, 5, 5)`` stack with one matrix per job, such as a drifting run
     of ``generate_drift_ensemble``.  Each job's counts come from an
     independent generator spawned from ``(seed, job index)``, so records are
-    reproducible and independent of execution order.
+    reproducible and independent of execution order; :mod:`~qubitcert.seeding`
+    computes every job's starting state in one batched pass.
     """
-    _check_run(n_jobs, shots, repetitions, seed)
+    check_run(n_jobs, shots, repetitions, seed)
     job_ps = np.asarray(true_p)
     if job_ps.shape == (5, 5):
         job_ps = np.broadcast_to(job_ps, (n_jobs, 5, 5))
@@ -182,10 +190,13 @@ def simulate_record(
             f"got {job_ps.shape}"
         )
     cells = job_ps[:, :4].reshape(n_jobs, 20)
-    ones = []
-    for n in range(n_jobs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
-        ones.append(rng.binomial(shots, cells[n], size=(repetitions, 20)))
+    # every job's seed words exist before the first draw, so a run too large
+    # to hold them fails here rather than after its first jobs
+    seed_words = spawned_seed_words(seed, n_jobs)
+    ones = [
+        rng.binomial(shots, cells[n], size=(repetitions, 20))
+        for n, rng in enumerate(generators(seed_words))
+    ]
     return ExperimentRecord(
         config_id,
         device,
@@ -243,7 +254,7 @@ def estimator_bias_study(
     if len(shots) == 0:
         raise ValueError("shots must hold at least one shot count")
     for s in shots:  # the first pass also checks n_jobs and seed
-        _check_run(n_jobs, s, 1, seed)
+        check_run(n_jobs, s, 1, seed)
     if replications < 2:
         raise ValueError(
             f"replications must be >= 2 for a standard error, got {replications}"

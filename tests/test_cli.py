@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import qubitcert.cli as cli
+import qubitcert.noise as noise
+import qubitcert.sampling as sampling
 from qubitcert.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_IO,
@@ -214,12 +216,13 @@ def test_simulate_rejects_invalid_drift_eps(tmp_path, capsys, eps):
     "jobs, shots", [("1", "10000000000000000000"), ("4", "4611686018427387904")]
 )
 def test_simulate_rejects_total_count_beyond_int64(tmp_path, capsys, monkeypatch, jobs, shots):
-    """The run is rejected before any count is drawn."""
+    """The run is rejected before any count is drawn: no generator is built."""
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the run was checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    monkeypatch.setattr(np.random, "Generator", no_sampling)
     out = tmp_path / "r.json"
     code, stdout, stderr = run(
         capsys, "simulate", "--config", "II-0", "--jobs", jobs, "--shots", shots,
@@ -233,8 +236,9 @@ def test_simulate_rejects_total_count_beyond_int64(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
 def test_simulate_drift_rejects_a_job_count_numpy_cannot_index(tmp_path, capsys, mode):
-    """The drifted matrices are built before the run is checked, so numpy's
-    own error rejects the job count before the total-count check can."""
+    """A job count numpy could not index is rejected as a usage error: the
+    run's own check finds its total count beyond int64 before the drifted
+    matrices are built."""
     out = tmp_path / "r.json"
     code, stdout, stderr = run(
         capsys, "simulate", "--config", "II-0", "--jobs", "4611686018427387904",
@@ -243,6 +247,50 @@ def test_simulate_drift_rejects_a_job_count_numpy_cannot_index(tmp_path, capsys,
     assert code == EXIT_USAGE
     assert stdout == ""
     assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_drift_checks_the_run_before_the_drift_stack(tmp_path, capsys, monkeypatch):
+    """An invalid run is named by the run's own check, whatever its size,
+    before a drifted stack of that size is built."""
+
+    def no_stack(*args):
+        raise AssertionError("built the drift stack before the run was checked")
+
+    monkeypatch.setattr(cli, "generate_drift_ensemble", no_stack)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "1000000000", "--shots", "0",
+        "--drift-eps", "0.01", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr == "error: shots must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_simulate_seeds_every_job_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    """Every job's seed words are built before any count is drawn, so a job
+    count too large to seed fails at once as a usage error, not after a
+    per-job loop has run for minutes."""
+
+    def no_memory(seed, count):
+        assert count == 100_000_000_000
+        raise MemoryError
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("drew before every job was seeded")
+
+    monkeypatch.setattr(sampling, "spawned_seed_words", no_memory)
+    monkeypatch.setattr(np.random, "Generator", no_sampling)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "100000000000", "--shots", "1",
+        "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr == "error: the run does not fit in memory\n"
     assert not out.exists()
 
 
@@ -589,10 +637,16 @@ def test_audit_drift_both_modes_give_each_mode_alone_across_blocks(tmp_path, cap
 
 
 def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
-    """Over two blocks in both modes, each trial's seed reaches a generator
-    constructor once: the second mode replays the first one's seeding."""
+    """Over two blocks in both modes, each trial's seed is seeded once, by the
+    batched helper or by a generator constructor: the second mode replays the
+    first one's seeding."""
     seeds = Counter()
+    real_words = noise.offset_seed_words
     real_default_rng, real_pcg64 = np.random.default_rng, np.random.PCG64
+
+    def offset_seed_words(seed, count):
+        seeds.update(range(seed, seed + count))
+        return real_words(seed, count)
 
     def default_rng(seed=None):
         seeds[seed] += 1
@@ -602,8 +656,10 @@ def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
         seeds[seed] += 1
         return real_pcg64(seed)
 
+    monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(np.random, "PCG64", pcg64)
+    noise._trial_states.cache_clear()
     trials, seed = cli.AUDIT_BLOCK_MEMBERS // 10 + 3, 424_242
     code, _, _ = run(
         capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",

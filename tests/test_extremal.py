@@ -225,20 +225,22 @@ def test_starts_are_one_draw_per_restart(d, field):
     """Restart r's states are the bits ``_random_point`` draws from the
     generator spawned as (seed, r), its projectors agree to round-off (the
     two normalise a vector by differently ordered sums), and neither depends
-    on how many restarts are drawn."""
-    psis, effs = _starts(d, field, 4, 9)
+    on how many restarts are drawn; also for a seed of more than one 32-bit
+    word."""
     dtype = np.complex128 if field == "complex" else np.float64
-    assert psis.shape == (9, 5, d) and effs.shape == (9, 4, d, d)
-    assert psis.dtype == effs.dtype == dtype
-    few = _starts(d, field, 4, 3)
-    for r in range(9):
-        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(r,)))
-        psi, effects = _random_point(d, field, rng)
-        assert psis[r].tobytes() == psi.tobytes(), r
-        assert np.max(np.abs(effs[r] - effects)) <= 1e-15, r
-        if r < 3:
-            assert few[0][r].tobytes() == psis[r].tobytes(), r
-            assert few[1][r].tobytes() == effs[r].tobytes(), r
+    for seed in (4, 2**32 + 3):
+        psis, effs = _starts(d, field, seed, 9)
+        assert psis.shape == (9, 5, d) and effs.shape == (9, 4, d, d)
+        assert psis.dtype == effs.dtype == dtype
+        few = _starts(d, field, seed, 3)
+        for r in range(9):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            psi, effects = _random_point(d, field, rng)
+            assert psis[r].tobytes() == psi.tobytes(), (seed, r)
+            assert np.max(np.abs(effs[r] - effects)) <= 1e-15, (seed, r)
+            if r < 3:
+                assert few[0][r].tobytes() == psis[r].tobytes(), (seed, r)
+                assert few[1][r].tobytes() == effs[r].tobytes(), (seed, r)
 
 
 def _one_restart_reference(psi, effects):

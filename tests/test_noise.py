@@ -195,16 +195,18 @@ def test_drift_needs_a_trial():
 def test_batched_drift_matches_per_trial_loop(cid, mode, eps, n_jobs):
     """Every ensemble, and the worst pooled |W|, bit for bit as the one-trial
     loop makes them (I-prime's exact 0s and 1s drive column-mix into its
-    shrink-and-fall-back path)."""
+    shrink-and-fall-back path), also in blocks whose seeds cross a 32-bit
+    word boundary (2^32 - 20 .. 2^32 + 19) or need three words (2^64 - 3)."""
     cfg = builtin_config(cid)
     model = DriftModel(eps, n_jobs, mode)
-    seed, trials = 7, 40
-    batch = generate_drift_ensemble(cfg, model, seed, trials)
-    assert batch.shape == (trials, n_jobs, 5, 5)
-    for t in range(trials):
-        assert batch[t].tobytes() == reference_ensemble(cfg, model, seed + t).tobytes()
-    worst = float(np.abs(np.linalg.det(batch.mean(axis=1))).max())
-    assert worst == reference_worst(cfg, model, seed, trials)
+    for seed, trials in [(7, 40), (2**32 - 20, 40), (2**64 - 3, 5)]:
+        batch = generate_drift_ensemble(cfg, model, seed, trials)
+        assert batch.shape == (trials, n_jobs, 5, 5)
+        for t in range(trials):
+            reference = reference_ensemble(cfg, model, seed + t)
+            assert batch[t].tobytes() == reference.tobytes(), seed + t
+        worst = float(np.abs(np.linalg.det(batch.mean(axis=1))).max())
+        assert worst == reference_worst(cfg, model, seed, trials)
 
 
 def test_column_mix_moves_the_pooled_witness():

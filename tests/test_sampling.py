@@ -54,10 +54,12 @@ def _mixed_record(truth):
 
 def test_run_arguments_validation(monkeypatch, truth):
     """simulate_record and estimator_bias_study check their jobs, shots,
-    repetitions, seed and total count before any draw, with one message each."""
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda *a, **k: pytest.fail("drew before the check")
-    )
+    repetitions, seed and total count before any draw, with one message each:
+    no generator is built before the check."""
+    for name in ("default_rng", "Generator"):
+        monkeypatch.setattr(
+            np.random, name, lambda *a, **k: pytest.fail("drew before the check")
+        )
     for args, message in [
         ((0, 1, 1), "n_jobs must be >= 1, got 0"),
         ((1, 0, 1), "shots must be >= 1, got 0"),
@@ -223,6 +225,25 @@ def test_simulation_is_deterministic(truth, small_run):
     assert a.config_id == "I-second"
     assert a.job_ids == b.job_ids
     assert np.array_equal(a.ones, b.ones)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-matrix", "per-job-stack"])
+def test_simulation_draws_each_job_from_its_spawned_generator(truth, seed, stacked):
+    """Job n's counts are the draw of the generator spawned as (seed, n),
+    bit for bit, whether every job samples one matrix or its own."""
+    n_jobs, shots, reps = 6, 300, 2
+    if stacked:
+        cfg = builtin_config("II-0")
+        true_p = generate_drift_ensemble(cfg, DriftModel(0.05, n_jobs, "angle-jitter"), 3)[0]
+    else:
+        true_p = truth
+    rec = simulate_record(true_p, n_jobs, shots, reps, seed)
+    job_ps = np.broadcast_to(true_p, (n_jobs, 5, 5))
+    for n in range(n_jobs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
+        expected = rng.binomial(shots, job_ps[n, :4].reshape(20), size=(reps, 20))
+        assert rec.ones[n * reps : (n + 1) * reps].tobytes() == expected.tobytes(), n
 
 
 def test_simulation_seed_changes_counts(truth, small_run):
