@@ -46,7 +46,7 @@ from .noise import (
 from .reports import analyze_record, render_text, write_scatter_csv, write_scatter_svg
 from .sampling import (
     RecordSchemaError,
-    check_run,
+    _check_run,
     load_record,
     save_record,
     simulate_record,
@@ -175,10 +175,12 @@ def cmd_simulate(args) -> int:
     if args.readout_e0 or args.readout_e1:
         true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
 
-    # the run's own check first, so a bad plan is named before a drifted
-    # stack of its size is built
-    check_run(args.jobs, args.shots, args.reps, args.seed)
-    job_ps = true_p if drift is None else generate_drift_ensemble(config, drift, args.seed)[0]
+    job_ps = true_p
+    if drift is not None:
+        # the run's own check first, so a bad plan is named before a drifted
+        # stack of its size is built; simulate_record checks a clean run
+        _check_run(args.jobs, args.shots, args.reps, args.seed)
+        job_ps = generate_drift_ensemble(config, drift, args.seed)[0]
     record = simulate_record(
         job_ps, args.jobs, args.shots, args.reps, args.seed,
         config_id=config.id, device=args.device,

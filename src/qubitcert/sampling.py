@@ -53,7 +53,6 @@ from .witness import WitnessResult, prob_matrix, witness, witness_variance
 __all__ = [
     "ExperimentRecord",
     "RecordSchemaError",
-    "check_run",
     "simulate_record",
     "estimate_per_job",
     "estimate_pooled",
@@ -75,11 +74,10 @@ class RecordSchemaError(ValueError):
         self.field = field_path
 
 
-def check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
-    """The plan check of :func:`simulate_record`: reject a run of ``n_jobs``
-    jobs of ``repetitions`` x ``shots`` shots that is empty, has a negative
-    seed, or puts more counts in a cell, T = n_jobs * shots * repetitions,
-    than int64 holds."""
+def _check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
+    """Reject a run of ``n_jobs`` jobs of ``repetitions`` x ``shots`` shots
+    that is empty, has a negative seed, or puts more counts in a cell,
+    T = n_jobs * shots * repetitions, than int64 holds."""
     for name, value in (("n_jobs", n_jobs), ("shots", shots), ("repetitions", repetitions)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -180,7 +178,7 @@ def simulate_record(
     reproducible and independent of execution order; :mod:`~qubitcert.seeding`
     computes every job's starting state in one batched pass.
     """
-    check_run(n_jobs, shots, repetitions, seed)
+    _check_run(n_jobs, shots, repetitions, seed)
     job_ps = np.asarray(true_p)
     if job_ps.shape == (5, 5):
         job_ps = np.broadcast_to(job_ps, (n_jobs, 5, 5))
@@ -254,7 +252,7 @@ def estimator_bias_study(
     if len(shots) == 0:
         raise ValueError("shots must hold at least one shot count")
     for s in shots:  # the first pass also checks n_jobs and seed
-        check_run(n_jobs, s, 1, seed)
+        _check_run(n_jobs, s, 1, seed)
     if replications < 2:
         raise ValueError(
             f"replications must be >= 2 for a standard error, got {replications}"

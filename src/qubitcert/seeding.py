@@ -15,6 +15,7 @@ and ``tests/test_seeding.py`` pins every state against numpy's constructors.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -101,11 +102,19 @@ def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
+def _check(seed: int, count: int) -> tuple[int, int]:
+    """``seed`` and ``count`` as Python ints, both >= 0.  numpy integers are
+    converted first: they have no ``bit_length``, and ``seed + t`` could wrap."""
+    seed, count = operator.index(seed), operator.index(count)
+    if seed < 0 or count < 0:
+        raise ValueError(f"need seed >= 0 and count >= 0, got {seed}, {count}")
+    return seed, count
+
+
 def offset_seed_words(seed: int, count: int) -> np.ndarray:
     """Seed words of ``np.random.PCG64(seed + t)`` for t = 0..count-1,
     shape (count, 4) uint64."""
-    if seed < 0 or count < 0:
-        raise ValueError(f"need seed >= 0 and count >= 0, got {seed}, {count}")
+    seed, count = _check(seed, count)
     width = max(_POOL_SIZE, _n_words(seed + max(count - 1, 0)))
     entropy = _words(seed, count, width)
     # rows holding more than four words are cut at their highest nonzero one
@@ -118,8 +127,7 @@ def offset_seed_words(seed: int, count: int) -> np.ndarray:
 def spawned_seed_words(seed: int, count: int) -> np.ndarray:
     """Seed words of ``np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(t,)))`` for t = 0..count-1, shape (count, 4) uint64."""
-    if seed < 0 or count < 0:
-        raise ValueError(f"need seed >= 0 and count >= 0, got {seed}, {count}")
+    seed, count = _check(seed, count)
     # the run entropy is padded to the pool size before the spawn key
     run = max(_POOL_SIZE, _n_words(seed))
     key = _n_words(max(count - 1, 0))

@@ -351,6 +351,15 @@ def test_restart_validation(no_seesaw):
         maximize_witness(3, "real", restarts=np.int64(2), seed=np.uint8(1))
 
 
+def test_numpy_integer_counts_search_as_python_ints():
+    """A numpy restart count and seed give the search of their values."""
+    a = maximize_witness(3, "real", restarts=np.int64(2), seed=np.uint8(1))
+    b = maximize_witness(3, "real", restarts=2, seed=1)
+    assert a.best_W == b.best_W
+    assert a.restart_W.tobytes() == b.restart_W.tobytes()
+    assert a.best_point.preparations.tobytes() == b.best_point.preparations.tobytes()
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_best_W_is_the_winning_restarts_W(d, field):

@@ -183,6 +183,15 @@ def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
             assert batch[t].tobytes() == reference_ensemble(cfg, model, seed + t).tobytes()
 
 
+@pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
+def test_drift_of_numpy_integers_is_that_of_python_ints(mode):
+    """A numpy integer seed and trial count give the ensemble of their values."""
+    cfg, model = builtin_config("II-0"), DriftModel(0.05, 3, mode)
+    a = generate_drift_ensemble(cfg, model, np.int64(7), np.int64(4))
+    b = generate_drift_ensemble(cfg, model, 7, 4)
+    assert a.tobytes() == b.tobytes()
+
+
 def test_drift_needs_a_trial():
     with pytest.raises(ValueError, match="trials"):
         generate_drift_ensemble(builtin_config("II-0"), DriftModel(0.01, 3), 0, trials=0)

@@ -246,6 +246,15 @@ def test_simulation_draws_each_job_from_its_spawned_generator(truth, seed, stack
         assert rec.ones[n * reps : (n + 1) * reps].tobytes() == expected.tobytes(), n
 
 
+def test_simulation_of_numpy_integers_is_that_of_python_ints(truth):
+    """numpy integer job, shot, repetition counts and seed draw the record of
+    their values."""
+    a = simulate_record(truth, np.int64(4), np.int64(50), np.int64(2), np.int64(5))
+    b = simulate_record(truth, 4, 50, 2, 5)
+    assert a.ones.tobytes() == b.ones.tobytes()
+    assert a.job_ids == b.job_ids
+
+
 def test_simulation_seed_changes_counts(truth, small_run):
     a = simulate_record(truth, *small_run)
     b = simulate_record(truth, 4, 200, 3, 6)

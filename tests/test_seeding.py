@@ -82,6 +82,17 @@ def test_a_run_draws_numpys_stream():
         assert rng.random(5).tobytes() == expected.random(5).tobytes()
 
 
+@pytest.mark.parametrize("words", [offset_seed_words, spawned_seed_words])
+def test_numpy_integers_give_the_words_of_python_ints(words):
+    """A numpy integer seed or count is taken as its value: a uint8 seed near
+    its top does not wrap when the run index is added."""
+    for seed, count in [(np.int64(5), np.int64(7)), (np.uint8(250), np.uint8(10))]:
+        expected = words(int(seed), int(count))
+        assert words(seed, count).tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="seed >= 0"):
+        words(np.int64(-1), 3)
+
+
 def test_no_runs_and_bad_arguments():
     assert offset_seed_words(5, 0).shape == spawned_seed_words(5, 0).shape == (0, 4)
     assert list(generators(offset_seed_words(5, 0))) == []
