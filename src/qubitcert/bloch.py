@@ -49,7 +49,13 @@ def reduce_angle(gamma: float) -> float:
 def _bloch(d, g) -> np.ndarray:
     """The closed form (sin d cos g, -sin d sin g, -cos d) of both kinds of
     vector, broadcast over the angles; the trailing axis indexes (x, y, z)."""
-    return np.stack([np.sin(d) * np.cos(g), -np.sin(d) * np.sin(g), -np.cos(d)], axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(d), np.shape(g)) + (3,))
+    sin_d = np.sin(d)
+    np.multiply(sin_d, np.cos(g), out=out[..., 0])
+    # -(s * t) has the bits of (-s) * t: rounding is symmetric in sign
+    np.negative(np.multiply(sin_d, np.sin(g), out=out[..., 1]), out=out[..., 1])
+    np.negative(np.cos(d), out=out[..., 2])
+    return out
 
 
 def prep_bloch_vectors(alpha, beta) -> np.ndarray:

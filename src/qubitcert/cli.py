@@ -252,8 +252,8 @@ def cmd_audit_drift(args) -> int:
         f"auditing {args.trials} ensembles of {args.jobs} jobs at "
         f"eps = {args.drift_eps:g} (bound 80*sqrt(2)*eps^2 = {bound:.6e})"
     )
-    # modes inside blocks: the second mode of a block replays the trial
-    # seeding of the first
+    # modes inside blocks: the second mode of a block reuses the draws of
+    # the first
     worst = [0.0] * len(modes)
     block = AUDIT_BLOCK_MEMBERS // args.jobs
     for start in range(0, args.trials, block):

@@ -19,14 +19,23 @@ can reproduce, so the witness picks it up.
 
 Drift trial ``t`` draws the stream of ``default_rng(seed + t)``.  A block of
 trials is seeded in one batched pass (:mod:`~qubitcert.seeding`), and each
-trial draws its unit uniforms straight into the block's array, which is then
-mapped to its range as ``Generator.uniform`` maps them.
+trial draws its stream once: word 0 raw, then unit doubles straight into the
+block's array, which is then mapped to its range as ``Generator.uniform``
+maps them.  Both drift modes read the same stream.  Angle jitter takes word 0
+as numpy's unit double ``(w >> 11) * 2**-53``; column-mix takes its two column
+picks from word 0's low and high 32-bit halves, as ``Generator.integers(0, 5)``
+does (Lemire's ``(half * 5) >> 32``), then words 1-40 as its two patterns'
+unit doubles.  The last block's word 0 and first 40 unit doubles are kept, so
+the second mode of an audit block draws nothing.  A zero half would make
+numpy draw again and shift the stream; such a trial (odds 2^-31) is replayed
+with the Generator's own calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +191,42 @@ def _reference_rows(config: ConfigSet) -> np.ndarray:
     return predicted_prob_matrix(config)[:4]
 
 
-@functools.lru_cache(maxsize=1)
-def _trial_states(seed: int, trials: int) -> np.ndarray:
-    """The seed words of ``default_rng(seed + t)``'s bit generator for each of
-    ``trials`` runs, from one batched pass of :mod:`~qubitcert.seeding`.  An
-    audit reads the same block of seeds once per drift mode, so the last
-    block is kept for the next mode to replay."""
-    words = offset_seed_words(seed, trials)
-    words.flags.writeable = False
-    return words
+#: words of a trial's stream that column-mix reads: word 0, whose halves pick
+#: the two patterns' columns, then 20 unit doubles per pattern
+_HEAD_WORDS = 41
+
+#: the last block's stream heads, {(seed, trials): (word 0 of each trial,
+#: (trials, 40) unit doubles of words 1-40)}, read-only and unmapped; at most
+#: one entry, so the cache stays at 41 words per trial whatever n_jobs is
+_heads: dict = {}
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """numpy's unit double of each raw PCG64 word: ``(w >> 11) * 2**-53``."""
+    return (words >> 11) * 2.0**-53
+
+
+def _picks(halves: np.ndarray) -> np.ndarray:
+    """``Generator.integers(0, 5)`` of each nonzero 32-bit draw: Lemire's
+    ``(half * 5) >> 32``.  numpy draws again only when ``half * 5`` has a zero
+    low word, which for five choices means a zero half."""
+    return ((halves * 5) >> 32).astype(np.intp)
+
+
+def _draw(seed: int, trials: int, out: np.ndarray) -> np.ndarray:
+    """Draw each trial's stream once, from one batched seeding: return word 0
+    of every trial, read raw, and fill ``out[t]`` (at least 40 wide) with
+    unit doubles of the words after it.  The block's stream heads are kept in
+    :data:`_heads` before the caller maps ``out``."""
+    word0 = np.empty(trials, dtype=np.uint64)
+    for t, rng in enumerate(generators(offset_seed_words(seed, trials))):
+        word0[t] = rng.bit_generator.random_raw()
+        rng.random(out=out[t])
+    head = out[:, : _HEAD_WORDS - 1].copy()
+    word0.flags.writeable = head.flags.writeable = False
+    _heads.clear()
+    _heads[seed, trials] = word0, head
+    return word0
 
 
 def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -220,20 +256,25 @@ def generate_drift_ensemble(
     eps, n_jobs = model.epsilon, model.n_jobs
     if eps == 0.0:
         return prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))
-    runs = generators(_trial_states(seed, trials))
-    # each run draws its unit uniforms straight into its block, and the
-    # block is mapped to its range once
     if model.perturbation_mode == "angle-jitter":
         delta = eps / _JITTER_LIPSCHITZ
-        jit = np.empty((trials, n_jobs, 18))
-        for t, rng in enumerate(runs):
-            rng.random(out=jit[t])
+        # at least 41 words, so that column-mix can reuse the heads
+        width = 18 * n_jobs
+        jit = np.empty((trials, max(width, _HEAD_WORDS)))
+        jit[:, 0] = _unit(_draw(seed, trials, jit[:, 1:]))
+        jit = jit[:, :width].reshape(trials, n_jobs, 18)
         rows = _jitter_rows(config, _uniform(jit, -delta, delta))
     else:
+        if (seed, trials) not in _heads:
+            _draw(seed, trials, np.empty((trials, _HEAD_WORDS - 1)))
+        word0, head = _heads[seed, trials]
         # per run: column and perturbation of pattern a, then of pattern b
-        t = np.empty(2 * trials, dtype=np.int64)
-        e0 = np.empty((2 * trials, 4, 5))
-        for i, rng in enumerate(runs):
+        halves = np.stack([word0 & 0xFFFFFFFF, word0 >> 32], axis=1).reshape(-1)
+        t = _picks(halves)
+        e0 = head.reshape(2 * trials, 4, 5).copy()
+        for i in np.flatnonzero(halves.reshape(trials, 2).min(axis=1) == 0).tolist():
+            # a zero half shifts the stream: replay the Generator's own calls
+            rng = next(generators(offset_seed_words(operator.index(seed) + i, 1)))
             for k in (2 * i, 2 * i + 1):
                 t[k] = rng.integers(0, 5)
                 rng.random(out=e0[k])

@@ -4,9 +4,11 @@ Drift trial ``t`` draws from ``default_rng(seed + t)``, and record job or
 search restart ``t`` from ``default_rng(SeedSequence(seed, spawn_key=(t,)))``.
 Building each of those generators costs more than most runs draw, because
 ``SeedSequence`` hashes its few words of entropy in Python-level calls.  Here
-the same hash runs once over a ``(count, L)`` uint32 array of every run's
+the same hash runs once over an ``(L, count)`` uint32 array of every run's
 entropy words: ``SeedSequence``'s entropy mix, then its ``generate_state`` of
-the four 64-bit words PCG64 seeds from.  Each run keeps only those 32 bytes;
+the four 64-bit words PCG64 seeds from.  The hash constants do not depend on
+the words, so they are precomputed as uint32 columns and each step hashes
+the four pool words of every run at once.  Each run keeps only those 32 bytes;
 PCG64's two seeding steps, in Python ints, build a run's state only when
 :func:`generators` sets it on its one bit generator.  numpy's RNG policy
 (NEP 19) keeps ``SeedSequence`` and the PCG64 stream fixed across releases,
@@ -15,6 +17,7 @@ and ``tests/test_seeding.py`` pins every state against numpy's constructors.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator
 
@@ -38,13 +41,14 @@ _CHUNK = 4096
 
 
 def _words(first: int, count: int, width: int) -> np.ndarray:
-    """The ``(count, width)`` little-endian uint32 words of ``first + t`` for
-    t = 0..count-1, added with carries so that any ``first`` works."""
-    out = np.empty((count, width), dtype=np.uint32)
+    """The little-endian uint32 words of ``first + t`` for t = 0..count-1,
+    one row per word: shape ``(width, count)``.  They are added with carries
+    so that any ``first`` works."""
+    out = np.empty((width, count), dtype=np.uint32)
     carry = np.arange(count, dtype=np.uint64)
     for i in range(width):
         acc = carry + np.uint64((first >> (32 * i)) & _MASK32)
-        out[:, i] = acc & np.uint64(_MASK32)
+        out[i] = acc & np.uint64(_MASK32)
         carry = acc >> np.uint64(32)
     return out
 
@@ -54,52 +58,72 @@ def _n_words(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def _pool(entropy: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence.mix_entropy`` of each row of ``entropy`` (count, L),
-    every row L >= 4 words long: the four pool words as columns."""
-    hash_const = _INIT_A
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``count`` successive ``SeedSequence`` hashes that
+    start from ``init``: each XORs in one constant, steps it by ``mult``, and
+    multiplies by the next.  Returns (xor, mul) uint32 columns, (count, 1)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
+def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of ``value`` with the given constants,
+    broadcast over the leading axis."""
+    value = (value ^ xor) * mul
+    return value ^ (value >> np.uint32(16))
 
-    mixer = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
-    for i_src in range(_POOL_SIZE, entropy.shape[1]):
-        for i_dst in range(_POOL_SIZE):
-            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[:, i_src]))
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of pool word ``x`` with hashed word ``y``."""
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+#: for each source pool word, the three others it mixes into, in order
+_OTHERS = [[j for j in range(_POOL_SIZE) if j != i] for i in range(_POOL_SIZE)]
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.mix_entropy`` of each column of ``entropy`` (L, count),
+    every column L >= 4 words long: the four pool words as rows.
+
+    The hash constants run on from one hash to the next whatever the words
+    are, so each step hashes a whole row of runs, or four rows, at once."""
+    n_extra = len(entropy) - _POOL_SIZE
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + _POOL_SIZE * n_extra)
+    mixer = _hash(entropy[:_POOL_SIZE], xor[:4], mul[:4])
+    # a source word is hashed once per other pool word, and mixing into
+    # those others leaves the source as it was
+    for i_src, dst in enumerate(_OTHERS):
+        k = 4 + 3 * i_src
+        mixer[dst] = _mix(mixer[dst], _hash(mixer[i_src], xor[k : k + 3], mul[k : k + 3]))
+    for i_src in range(n_extra):
+        k = 16 + 4 * i_src
+        mixer = _mix(mixer, _hash(entropy[_POOL_SIZE + i_src], xor[k : k + 4], mul[k : k + 4]))
     return mixer
 
 
 def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """PCG64's four 64-bit seed words, ``generate_state(4, np.uint64)``, of
-    the ``SeedSequence`` whose entropy is row t of ``entropy`` cut to
-    ``lengths[t]`` words: shape (count, 4).
+    the ``SeedSequence`` whose entropy is column t of ``entropy`` (L, count)
+    cut to ``lengths[t]`` words: shape (count, 4).
 
     For four words or fewer, a zero word mixes as a missing one does, so a
-    row shorter than the array needs no cut below four words."""
-    state = np.empty((len(entropy), 8), dtype="<u4")
+    column shorter than the array needs no cut below four words."""
+    state = np.empty((8, entropy.shape[1]), dtype="<u4")
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
     # the distinct lengths; np.unique would import numpy.ma, about 1 MB
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        rows = lengths == length
-        pool = _pool(entropy[rows, : max(length, _POOL_SIZE)])
-        hash_const = _INIT_B
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = (hash_const * _MULT_B) & _MASK32
-            value *= np.uint32(hash_const)
-            state[rows, i] = value ^ (value >> np.uint32(16))
-    return state.view("<u8")
+    distinct = np.flatnonzero(np.bincount(lengths)).tolist()
+    for length in distinct:
+        runs = lengths == length if len(distinct) > 1 else slice(None)
+        pool = _pool(entropy[: max(length, _POOL_SIZE), runs])
+        # the eight 32-bit state words hash pool words 0, 1, 2, 3, 0, 1, 2, 3
+        state[:, runs] = _hash(np.tile(pool, (2, 1)), xor, mul)
+    return np.ascontiguousarray(state.T).view("<u8")
 
 
 def _check(seed: int, count: int) -> tuple[int, int]:
@@ -120,7 +144,7 @@ def offset_seed_words(seed: int, count: int) -> np.ndarray:
     # rows holding more than four words are cut at their highest nonzero one
     lengths = np.full(count, _POOL_SIZE)
     for i in range(_POOL_SIZE, width):
-        lengths[entropy[:, i] != 0] = i + 1
+        lengths[entropy[i] != 0] = i + 1
     return _seed_words(entropy, lengths)
 
 
@@ -131,12 +155,12 @@ def spawned_seed_words(seed: int, count: int) -> np.ndarray:
     # the run entropy is padded to the pool size before the spawn key
     run = max(_POOL_SIZE, _n_words(seed))
     key = _n_words(max(count - 1, 0))
-    entropy = np.empty((count, run + key), dtype=np.uint32)
-    entropy[:, :run] = _words(seed, 1, run)
-    entropy[:, run:] = _words(0, count, key)
+    entropy = np.empty((run + key, count), dtype=np.uint32)
+    entropy[:run] = _words(seed, 1, run)
+    entropy[run:] = _words(0, count, key)
     lengths = np.full(count, run + 1)
     if key > 1:
-        lengths[entropy[:, run + 1] != 0] = run + 2
+        lengths[entropy[run + 1] != 0] = run + 2
     return _seed_words(entropy, lengths)
 
 

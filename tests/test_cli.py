@@ -620,8 +620,8 @@ def test_audit_drift_csv_matches_per_trial_reference_across_blocks(tmp_path, cap
 
 
 def test_audit_drift_both_modes_give_each_mode_alone_across_blocks(tmp_path, capsys):
-    """The second mode of each block replays the first one's trial seeding,
-    and gives the rows of a single-mode audit over two blocks."""
+    """The second mode of each block reuses the first one's draws, and gives
+    the rows of a single-mode audit over two blocks."""
     trials = cli.AUDIT_BLOCK_MEMBERS // 10 + 3
     argv = [
         "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
@@ -638,8 +638,8 @@ def test_audit_drift_both_modes_give_each_mode_alone_across_blocks(tmp_path, cap
 
 def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
     """Over two blocks in both modes, each trial's seed is seeded once, by the
-    batched helper or by a generator constructor: the second mode replays the
-    first one's seeding."""
+    batched helper or by a generator constructor: the second mode reuses the
+    first one's draws."""
     seeds = Counter()
     real_words = noise.offset_seed_words
     real_default_rng, real_pcg64 = np.random.default_rng, np.random.PCG64
@@ -659,7 +659,7 @@ def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
     monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(np.random, "PCG64", pcg64)
-    noise._trial_states.cache_clear()
+    noise._heads.clear()
     trials, seed = cli.AUDIT_BLOCK_MEMBERS // 10 + 3, 424_242
     code, _, _ = run(
         capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
@@ -668,6 +668,50 @@ def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
     assert code == EXIT_OK
     del seeds[None]  # a generator whose own seeding is never drawn from
     assert seeds == Counter({seed + t: 1 for t in range(trials)})
+
+
+def test_audit_drift_column_mix_reuses_the_angle_jitter_draws(capsys, monkeypatch):
+    """In both modes, column-mix reads the stream heads that angle jitter drew
+    for the same block: it sets no generator state, in either block."""
+    calls = []
+    real_generators, real_ensemble = noise.generators, cli.generate_drift_ensemble
+
+    def generators(words):
+        for rng in real_generators(words):
+            calls[-1][1] += 1
+            yield rng
+
+    def ensemble(config, model, seed, trials=1):
+        calls.append([model.perturbation_mode, 0])
+        return real_ensemble(config, model, seed, trials)
+
+    monkeypatch.setattr(noise, "generators", generators)
+    monkeypatch.setattr(cli, "generate_drift_ensemble", ensemble)
+    noise._heads.clear()
+    block = cli.AUDIT_BLOCK_MEMBERS // 10
+    code, _, _ = run(
+        capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
+        "--trials", str(block + 3), "--jobs", "10", "--seed", "77",
+    )
+    assert code == EXIT_OK
+    assert calls == [
+        ["angle-jitter", block], ["column-mix", 0], ["angle-jitter", 3], ["column-mix", 0],
+    ]
+
+
+def test_simulate_drift_keeps_41_words_per_trial(tmp_path, capsys):
+    """A drifted simulate draws 18 words per job, but keeps only word 0 and the
+    40 unit doubles after it for a later call to reuse."""
+    noise._heads.clear()
+    out = tmp_path / "r.json"
+    code, _, _ = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "100000", "--shots", "1",
+        "--drift-eps", "0.01", "--seed", "3", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    ((key, heads),) = noise._heads.items()
+    assert key == (3, 1)
+    assert sum(a.size for a in heads) <= 41
 
 
 def test_gen_config_canonical_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qubitcert import noise
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
 from qubitcert.noise import (
     DriftModel,
@@ -161,7 +162,7 @@ def test_drift_trial_depends_only_on_its_own_seed(mode):
 
 
 def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
-    """The trial seeding and reference rows kept between calls belong to one
+    """The stream heads and reference rows kept between calls belong to one
     (seed, trials) block and one config: calls that interleave two configs,
     both modes, and seeds and trial counts that share one part of the key or
     repeat an earlier key each give the one-trial-at-a-time ensembles."""
@@ -216,6 +217,79 @@ def test_batched_drift_matches_per_trial_loop(cid, mode, eps, n_jobs):
             assert batch[t].tobytes() == reference.tobytes(), seed + t
         worst = float(np.abs(np.linalg.det(batch.mean(axis=1))).max())
         assert worst == reference_worst(cfg, model, seed, trials)
+
+
+def test_word_zero_gives_numpys_double_and_column_picks():
+    """Word 0 of a stream, read raw, gives the unit double numpy's ``random``
+    draws from it and, from its low then high half, the two column picks of
+    ``integers(0, 5)``."""
+    seeds = [*range(1200), 2**32 - 1, 2**64 - 3, 2**100 + 7]
+    word0 = np.array([np.random.PCG64(s).random_raw() for s in seeds], dtype=np.uint64)
+    units, picks = [], []
+    for s in seeds:
+        units.append(np.random.default_rng(s).random())
+        rng = np.random.default_rng(s)
+        picks.append([rng.integers(0, 5), rng.integers(0, 5)])
+    assert noise._unit(word0).tobytes() == np.array(units).tobytes()
+    halves = np.stack([word0 & 0xFFFFFFFF, word0 >> 32], axis=1)
+    assert np.array_equal(noise._picks(halves), picks)
+
+
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_words_starting_with(word0, stream, rot):
+    """Seed words, as ``seeding.generators`` reads them, of a PCG64 stream
+    whose first raw word is ``word0``: PCG64's seeding and first step run
+    backwards from a state whose XSL-RR output is ``word0``."""
+    hi = (rot << 58) | (0x2545F4914F6CDD1D & ((1 << 58) - 1))
+    xored = ((word0 << rot) | (word0 >> (64 - rot))) & _MASK64 if rot else word0
+    after_step = (hi << 64) | (xored ^ hi)
+    inc = ((stream << 1) | 1) & _MASK128
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+    start = ((after_step - inc) * inverse) & _MASK128
+    seed = ((start - inc) * inverse - inc) & _MASK128
+    return [seed >> 64, seed & _MASK64, stream >> 64, stream & _MASK64]
+
+
+def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
+    """A trial whose word 0 has a zero low or high half makes numpy's
+    ``integers`` draw again, which shifts the rest of its stream.  Column-mix
+    must give what a Generator at that trial's start makes with the old four
+    calls, whether it draws the block itself or reads angle jitter's heads."""
+    seed, trials = 500, 8
+    # trial seed: (word 0, PCG64 stream, rotation of the crafted state)
+    word0 = {
+        501: (0x9E3779B900000000, 12345, 0),  # zero low half
+        503: (0x00000000DEADBEEF, 2**100 + 3, 17),  # zero high half
+        504: (0, 7, 63),  # both halves zero
+        506: (0x0000000100000000, 2**127 + 1, 5),  # zero low half
+    }
+    crafted = {s: _seed_words_starting_with(*args) for s, args in word0.items()}
+    real_words = noise.offset_seed_words
+
+    def offset_seed_words(first, count):
+        words = real_words(first, count)
+        for t in range(count):
+            if first + t in crafted:
+                words[t] = crafted[first + t]
+        return words
+
+    for s, (word, _, _) in word0.items():
+        rng = next(noise.generators(np.array([crafted[s]], dtype=np.uint64)))
+        assert rng.bit_generator.random_raw() == word
+    monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
+    cfg = builtin_config("II-0")
+    model = DriftModel(0.05, 3, "column-mix")
+    for first in ("column-mix", "angle-jitter"):
+        noise._heads.clear()
+        if first == "angle-jitter":
+            generate_drift_ensemble(cfg, DriftModel(0.05, 3, first), seed, trials)
+        batch = generate_drift_ensemble(cfg, model, seed, trials)
+        for t, words in enumerate(offset_seed_words(seed, trials)):
+            rng = next(noise.generators(words[None]))
+            assert batch[t].tobytes() == reference_ensemble(cfg, model, rng).tobytes(), t
 
 
 def test_column_mix_moves_the_pooled_witness():

@@ -54,8 +54,8 @@ def test_states_match_numpy_at_any_seed(seed, count):
 @pytest.mark.parametrize("seed", [7, 2**130 + 9])
 def test_spawn_keys_of_two_words_match_numpy(seed):
     """Job indices from 2^32 on take two words of spawn key.  No run is large
-    enough to reach them, so the entropy rows are built here as numpy lays
-    them out: the seed's words padded to four, then the key's."""
+    enough to reach them, so the entropy is built here as numpy lays it out,
+    one column per run: the seed's words padded to four, then the key's."""
     keys = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 5, 2**40]
     run = max(4, -(-seed.bit_length() // 32))
     rows = [
@@ -63,7 +63,7 @@ def test_spawn_keys_of_two_words_match_numpy(seed):
         for value in (seed + (key << (32 * run)) for key in keys)
     ]
     lengths = np.array([run + (2 if key >= 2**32 else 1) for key in keys])
-    words = seeding._seed_words(np.array(rows, dtype=np.uint32), lengths)
+    words = seeding._seed_words(np.array(rows, dtype=np.uint32).T, lengths)
     assert _states(words) == [_spawned(seed, key).state for key in keys]
 
 
