@@ -244,7 +244,7 @@ def _seed_words_starting_with(word0, stream, rot):
     whose first raw word is ``word0``: PCG64's seeding and first step run
     backwards from a state whose XSL-RR output is ``word0``."""
     hi = (rot << 58) | (0x2545F4914F6CDD1D & ((1 << 58) - 1))
-    xored = ((word0 << rot) | (word0 >> (64 - rot))) & _MASK64 if rot else word0
+    xored = ((word0 << rot) | (word0 >> (64 - rot))) & _MASK64  # rotl by rot
     after_step = (hi << 64) | (xored ^ hi)
     inc = ((stream << 1) | 1) & _MASK128
     inverse = pow(_PCG_MULT, -1, 1 << 128)
