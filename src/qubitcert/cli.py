@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .configs import (
     BUILTIN_IDS,
@@ -36,9 +34,11 @@ from .extremal import (
     save_search_result,
 )
 from .noise import (
+    AUDIT_BLOCK_MEMBERS,
     DriftModel,
     apply_common_leakage,
     apply_readout_error,
+    audit_drift,
     coherent_leak_prob_matrix,
     drift_bound,
     generate_drift_ensemble,
@@ -58,11 +58,6 @@ EXIT_BOUND_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
-
-#: audit-drift generates its trials in blocks of about this many ensemble
-#: members (1024 trials at 10 jobs), so its memory does not grow with --trials;
-#: it is also the most --jobs one trial may have
-AUDIT_BLOCK_MEMBERS = 10_240
 
 #: audit-drift passes a pooled |W| up to this much above the bound, which
 #: absorbs the determinant's round-off; a bound at or below it could never fail
@@ -180,7 +175,7 @@ def cmd_simulate(args) -> int:
         # the run's own check first, so a bad plan is named before a drifted
         # stack of its size is built; simulate_record checks a clean run
         _check_run(args.jobs, args.shots, args.reps, args.seed)
-        job_ps = generate_drift_ensemble(config, drift, args.seed)[0]
+        job_ps = generate_drift_ensemble(config, drift, args.seed)
     record = simulate_record(
         job_ps, args.jobs, args.shots, args.reps, args.seed,
         config_id=config.id, device=args.device,
@@ -218,7 +213,7 @@ def cmd_audit_drift(args) -> int:
         _check_not_same_file("--out", args.out, "--config", args.config)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.jobs > AUDIT_BLOCK_MEMBERS:
+    if args.jobs > AUDIT_BLOCK_MEMBERS:  # one trial fills at most one block
         raise ValueError(f"--jobs must be <= {AUDIT_BLOCK_MEMBERS}, got {args.jobs}")
     config = _resolve_config(args.config)
     bound = drift_bound(args.drift_eps)
@@ -240,29 +235,14 @@ def cmd_audit_drift(args) -> int:
             "--jobs 1 pools one exactly witness-zero matrix per trial, whose "
             "|W| is round-off, so the audit could not fail; give --jobs >= 2"
         )
-    modes = (
-        ("angle-jitter", "column-mix")
-        if args.drift_mode == "both"
-        else (args.drift_mode,)
-    )
-    # Validate every mode's model before the header, so a usage error prints
-    # nothing to stdout.
-    models = [DriftModel(args.drift_eps, args.jobs, mode) for mode in modes]
+    both = args.drift_mode == "both"
+    modes = ("angle-jitter", "column-mix") if both else (args.drift_mode,)
+    # checked before any draw, so a usage error prints nothing to stdout
+    worst = audit_drift(config, args.drift_eps, args.jobs, modes, args.seed, args.trials)
     print(
         f"auditing {args.trials} ensembles of {args.jobs} jobs at "
         f"eps = {args.drift_eps:g} (bound 80*sqrt(2)*eps^2 = {bound:.6e})"
     )
-    # modes inside blocks: the second mode of a block reuses the draws of
-    # the first
-    worst = [0.0] * len(modes)
-    block = AUDIT_BLOCK_MEMBERS // args.jobs
-    for start in range(0, args.trials, block):
-        for i, model in enumerate(models):
-            ensembles = generate_drift_ensemble(
-                config, model, args.seed + start, min(block, args.trials - start)
-            )
-            pooled = ensembles.mean(axis=1)
-            worst[i] = max(worst[i], float(np.abs(np.linalg.det(pooled)).max()))
     all_ok = True
     rows = ["mode,trials,max_abs_pooled_W,bound,fraction,pass"]
     for mode, mode_worst in zip(modes, worst):

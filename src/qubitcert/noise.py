@@ -17,18 +17,18 @@ of the qubit amplitude into a third level by a phase-dependent amount.  That
 makes outcome probabilities depend on the gate phases in a way no qubit model
 can reproduce, so the witness picks it up.
 
-Drift trial ``t`` draws the stream of ``default_rng(seed + t)``.  A block of
-trials is seeded in one batched pass (:mod:`~qubitcert.seeding`), and each
-trial draws its stream once: word 0 raw, then unit doubles straight into the
-block's array, which is then mapped to its range as ``Generator.uniform``
-maps them.  Both drift modes read the same stream.  Angle jitter takes word 0
-as numpy's unit double ``(w >> 11) * 2**-53``; column-mix takes its two column
-picks from word 0's low and high 32-bit halves, as ``Generator.integers(0, 5)``
-does (Lemire's ``(half * 5) >> 32``), then words 1-40 as its two patterns'
-unit doubles.  The last block's word 0 and first 40 unit doubles are kept, so
-the second mode of an audit block draws nothing.  A zero half would make
-numpy draw again and shift the stream; such a trial (odds 2^-31) is replayed
-with the Generator's own calls.
+Drift run ``t`` draws the stream of ``default_rng(seed + t)``.  A block of
+runs is seeded in one batched pass (:mod:`~qubitcert.seeding`), and each run
+draws its stream once for every mode asked for: word 0 raw, then unit doubles
+straight into the block's array.  Column-mix takes its two column picks from
+word 0's low and high 32-bit halves, as ``Generator.integers(0, 5)`` does
+(Lemire's ``(half * 5) >> 32``), then a copy of words 1-40 as its two
+patterns' unit doubles.  Angle jitter takes word 0 as numpy's unit double
+``(w >> 11) * 2**-53`` and maps the block in place to its range, as
+``Generator.uniform`` maps them.  A zero half would make numpy draw again and
+shift the stream; such a run (odds 2^-31) is replayed with the Generator's own
+calls.  :func:`audit_drift` pools its runs block by block, so every mode of an
+audit reads one draw, and nothing drawn is kept between calls.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ from .seeding import generators, offset_seed_words
 from .witness import prob_matrix
 
 __all__ = [
+    "AUDIT_BLOCK_MEMBERS",
     "DriftModel",
     "apply_common_leakage",
     "apply_readout_error",
     "generate_drift_ensemble",
+    "audit_drift",
     "drift_bound",
     "coherent_leak_prob_matrix",
 ]
@@ -60,6 +62,24 @@ _SQRT2 = math.sqrt(2.0)
 # (1 + sqrt(2)) * delta: the Bloch vectors are 1-Lipschitz in the first gate
 # angle and sqrt(2)-Lipschitz in the second, and |dp| <= (|dm| + |dn|)/2.
 _JITTER_LIPSCHITZ = 1.0 + _SQRT2
+
+#: an audit runs its trials in blocks of about this many ensemble members
+#: (1024 trials at 10 jobs), so its memory does not grow with the trial count
+AUDIT_BLOCK_MEMBERS = 10_240
+
+
+def _check_drift(epsilon: float, n_jobs: int, mode: str) -> None:
+    """Reject a drift budget, job count (not a bool) or mode of no drifting run."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if isinstance(n_jobs, bool) or not isinstance(n_jobs, (int, np.integer)):
+        raise ValueError(f"n_jobs must be an integer, got {n_jobs!r}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if mode not in ("angle-jitter", "column-mix"):
+        raise ValueError(
+            f"perturbation_mode must be 'angle-jitter' or 'column-mix', got {mode!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,15 +104,7 @@ class DriftModel:
     perturbation_mode: str = "angle-jitter"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.perturbation_mode not in ("angle-jitter", "column-mix"):
-            raise ValueError(
-                "perturbation_mode must be 'angle-jitter' or 'column-mix', "
-                f"got {self.perturbation_mode!r}"
-            )
+        _check_drift(self.epsilon, self.n_jobs, self.perturbation_mode)
 
 
 def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> np.ndarray:
@@ -187,18 +199,8 @@ def _column_mix_patterns(
 @functools.lru_cache(maxsize=1)
 def _reference_rows(config: ConfigSet) -> np.ndarray:
     """The config's predicted measured rows, (4, 5), read-only.  One config
-    is kept: an audit asks for the same one once per block and mode."""
+    is kept: an audit asks for the same one once per block."""
     return predicted_prob_matrix(config)[:4]
-
-
-#: words of a trial's stream that column-mix reads: word 0, whose halves pick
-#: the two patterns' columns, then 20 unit doubles per pattern
-_HEAD_WORDS = 41
-
-#: the last block's stream heads, {(seed, trials): (word 0 of each trial,
-#: (trials, 40) unit doubles of words 1-40)}, read-only and unmapped; at most
-#: one entry, so the cache stays at 41 words per trial whatever n_jobs is
-_heads: dict = {}
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -213,22 +215,6 @@ def _picks(halves: np.ndarray) -> np.ndarray:
     return ((halves * 5) >> 32).astype(np.intp)
 
 
-def _draw(seed: int, trials: int, out: np.ndarray) -> np.ndarray:
-    """Draw each trial's stream once, from one batched seeding: return word 0
-    of every trial, read raw, and fill ``out[t]`` (at least 40 wide) with
-    unit doubles of the words after it.  The block's stream heads are kept in
-    :data:`_heads` before the caller maps ``out``."""
-    word0 = np.empty(trials, dtype=np.uint64)
-    for t, rng in enumerate(generators(offset_seed_words(seed, trials))):
-        word0[t] = rng.bit_generator.random_raw()
-        rng.random(out=out[t])
-    head = out[:, : _HEAD_WORDS - 1].copy()
-    word0.flags.writeable = head.flags.writeable = False
-    _heads.clear()
-    _heads[seed, trials] = word0, head
-    return word0
-
-
 def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Map unit draws ``u`` in place to ``Generator.uniform(lo, hi)``'s
     values: ``lo + (hi - lo) * u``, the same float operations in the same
@@ -238,50 +224,82 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return u
 
 
-def generate_drift_ensemble(
-    config: ConfigSet, model: DriftModel, seed: int, trials: int = 1
-) -> np.ndarray:
-    """Per-job matrices of ``trials`` drifting runs, shape
-    ``(trials, model.n_jobs, 5, 5)``: each exactly witness-zero and within
-    ``model.epsilon`` of the config's predicted matrix entrywise.
-
-    Run ``t`` draws the stream of ``default_rng(seed + t)`` alone, so it does
-    not depend on how many runs are generated with it.  The column-mix mode
-    alternates between two drawn patterns so that pooling does not average the
-    drift away.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def _drift_block(
+    config: ConfigSet, eps: float, n_jobs: int, modes, seed: int, trials: int
+) -> list[np.ndarray]:
+    """Each mode's ensembles, ``(trials, n_jobs, 5, 5)``, of drifting runs
+    ``seed`` to ``seed + trials - 1``.  Every run's stream is drawn once, into
+    one array that every mode reads."""
     ref = _reference_rows(config)
-    eps, n_jobs = model.epsilon, model.n_jobs
     if eps == 0.0:
-        return prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))
-    if model.perturbation_mode == "angle-jitter":
-        delta = eps / _JITTER_LIPSCHITZ
-        # at least 41 words, so that column-mix can reuse the heads
-        width = 18 * n_jobs
-        jit = np.empty((trials, max(width, _HEAD_WORDS)))
-        jit[:, 0] = _unit(_draw(seed, trials, jit[:, 1:]))
-        jit = jit[:, :width].reshape(trials, n_jobs, 18)
-        rows = _jitter_rows(config, _uniform(jit, -delta, delta))
-    else:
-        if (seed, trials) not in _heads:
-            _draw(seed, trials, np.empty((trials, _HEAD_WORDS - 1)))
-        word0, head = _heads[seed, trials]
-        # per run: column and perturbation of pattern a, then of pattern b
+        return [prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))] * len(modes)
+    # word 0, then 18 words per job for angle jitter and 40 for column-mix
+    jitter, mix = "angle-jitter" in modes, "column-mix" in modes
+    width = max(18 * n_jobs if jitter else 0, 41 if mix else 0)
+    u = np.empty((trials, width))
+    word0 = np.empty(trials, dtype=np.uint64)
+    for run, rng in enumerate(generators(offset_seed_words(seed, trials))):
+        word0[run] = rng.bit_generator.random_raw()
+        rng.random(out=u[run, 1:])
+    rows = {}
+    if mix:
+        # per run: column and perturbation of pattern a, then of pattern b;
+        # the perturbations are a copy, taken before angle jitter maps ``u``
         halves = np.stack([word0 & 0xFFFFFFFF, word0 >> 32], axis=1).reshape(-1)
         t = _picks(halves)
-        e0 = head.reshape(2 * trials, 4, 5).copy()
+        e0 = u[:, 1:41].copy().reshape(2 * trials, 4, 5)
         for i in np.flatnonzero(halves.reshape(trials, 2).min(axis=1) == 0).tolist():
             # a zero half shifts the stream: replay the Generator's own calls
             rng = next(generators(offset_seed_words(operator.index(seed) + i, 1)))
             for k in (2 * i, 2 * i + 1):
                 t[k] = rng.integers(0, 5)
                 rng.random(out=e0[k])
-        e0 = _uniform(e0, -eps, eps)
-        patterns = _column_mix_patterns(ref, eps, t, e0).reshape(trials, 2, 4, 5)
-        rows = patterns[:, np.arange(n_jobs) % 2]
-    return prob_matrix(rows)
+        patterns = _column_mix_patterns(ref, eps, t, _uniform(e0, -eps, eps))
+        rows["column-mix"] = patterns.reshape(trials, 2, 4, 5)[:, np.arange(n_jobs) % 2]
+    if jitter:
+        delta = eps / _JITTER_LIPSCHITZ
+        u[:, 0] = _unit(word0)
+        jit = u[:, : 18 * n_jobs].reshape(trials, n_jobs, 18)
+        rows["angle-jitter"] = _jitter_rows(config, _uniform(jit, -delta, delta))
+    return [prob_matrix(rows[mode]) for mode in modes]
+
+
+def generate_drift_ensemble(config: ConfigSet, model: DriftModel, seed: int) -> np.ndarray:
+    """Per-job matrices of one drifting run, shape ``(model.n_jobs, 5, 5)``:
+    each exactly witness-zero and within ``model.epsilon`` of the config's
+    predicted matrix entrywise.
+
+    The run draws the stream of ``default_rng(seed)``.  The column-mix mode
+    alternates between two drawn patterns so that pooling does not average the
+    drift away.
+    """
+    mode = (model.perturbation_mode,)
+    return _drift_block(config, model.epsilon, model.n_jobs, mode, seed, 1)[0][0]
+
+
+def audit_drift(
+    config: ConfigSet, epsilon: float, n_jobs: int, modes, seed: int, trials: int
+) -> list[float]:
+    """The largest pooled |W|, the |det| of a run's mean matrix, of each mode
+    in ``modes`` in turn, over ``generate_drift_ensemble``'s runs of seeds
+    ``seed`` to ``seed + trials - 1``.  The inputs are checked before any
+    draw; the runs go in blocks of about :data:`AUDIT_BLOCK_MEMBERS` ensemble
+    members, and every mode reads one draw of each block."""
+    if not modes:
+        raise ValueError("modes must name at least one drift mode")
+    for mode in modes:
+        _check_drift(epsilon, n_jobs, mode)
+    seed, trials = operator.index(seed), operator.index(trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    worst = [0.0] * len(modes)
+    block = max(1, AUDIT_BLOCK_MEMBERS // n_jobs)
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        ensembles = _drift_block(config, epsilon, n_jobs, modes, seed + start, count)
+        for i, ens in enumerate(ensembles):
+            worst[i] = max(worst[i], float(np.abs(np.linalg.det(ens.mean(axis=1))).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,15 @@ def reference_ensemble(config, model, seed) -> np.ndarray:
     )
 
 
-def reference_worst(config, model, seed, trials) -> float:
-    """Largest pooled |W| over trials ``seed .. seed + trials - 1``."""
+def worst_pooled(ensembles) -> float:
+    """Largest |W| of an ensemble's pooled (mean) matrix over ``ensembles``."""
     worst = 0.0
-    for trial in range(trials):
-        pooled = np.mean(list(reference_ensemble(config, model, seed + trial)), axis=0)
+    for ensemble in ensembles:
+        pooled = np.mean(list(ensemble), axis=0)
         worst = max(worst, abs(float(np.linalg.det(pooled))))
     return worst
+
+
+def reference_worst(config, model, seed, trials) -> float:
+    """Largest pooled |W| over trials ``seed .. seed + trials - 1``."""
+    return worst_pooled(reference_ensemble(config, model, seed + t) for t in range(trials))

@@ -344,7 +344,7 @@ def test_simulate_drift_record_matches_per_trial_reference(tmp_path, capsys, mon
     monkeypatch.setattr(
         cli,
         "generate_drift_ensemble",
-        lambda config, model, seed: reference_ensemble(config, model, seed)[None],
+        lambda config, model, seed: reference_ensemble(config, model, seed),
     )
     code, _, _ = run(capsys, *argv, str(tmp_path / "reference.json"))
     assert code == EXIT_OK
@@ -659,7 +659,6 @@ def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
     monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(np.random, "PCG64", pcg64)
-    noise._heads.clear()
     trials, seed = cli.AUDIT_BLOCK_MEMBERS // 10 + 3, 424_242
     code, _, _ = run(
         capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
@@ -671,47 +670,25 @@ def test_audit_drift_seeds_each_trial_once(capsys, monkeypatch):
 
 
 def test_audit_drift_column_mix_reuses_the_angle_jitter_draws(capsys, monkeypatch):
-    """In both modes, column-mix reads the stream heads that angle jitter drew
-    for the same block: it sets no generator state, in either block."""
-    calls = []
-    real_generators, real_ensemble = noise.generators, cli.generate_drift_ensemble
+    """In both modes, over two blocks, the audit sets one generator state per
+    trial: column-mix reads the draws angle jitter reads."""
+    yields = 0
+    real_generators = noise.generators
 
     def generators(words):
+        nonlocal yields
         for rng in real_generators(words):
-            calls[-1][1] += 1
+            yields += 1
             yield rng
 
-    def ensemble(config, model, seed, trials=1):
-        calls.append([model.perturbation_mode, 0])
-        return real_ensemble(config, model, seed, trials)
-
     monkeypatch.setattr(noise, "generators", generators)
-    monkeypatch.setattr(cli, "generate_drift_ensemble", ensemble)
-    noise._heads.clear()
-    block = cli.AUDIT_BLOCK_MEMBERS // 10
+    trials = cli.AUDIT_BLOCK_MEMBERS // 10 + 3
     code, _, _ = run(
         capsys, "audit-drift", "--config", "II-0", "--drift-eps", "0.02",
-        "--trials", str(block + 3), "--jobs", "10", "--seed", "77",
+        "--trials", str(trials), "--jobs", "10", "--seed", "77",
     )
     assert code == EXIT_OK
-    assert calls == [
-        ["angle-jitter", block], ["column-mix", 0], ["angle-jitter", 3], ["column-mix", 0],
-    ]
-
-
-def test_simulate_drift_keeps_41_words_per_trial(tmp_path, capsys):
-    """A drifted simulate draws 18 words per job, but keeps only word 0 and the
-    40 unit doubles after it for a later call to reuse."""
-    noise._heads.clear()
-    out = tmp_path / "r.json"
-    code, _, _ = run(
-        capsys, "simulate", "--config", "II-0", "--jobs", "100000", "--shots", "1",
-        "--drift-eps", "0.01", "--seed", "3", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    ((key, heads),) = noise._heads.items()
-    assert key == (3, 1)
-    assert sum(a.size for a in heads) <= 41
+    assert yields == trials
 
 
 def test_gen_config_canonical_round_trip(tmp_path, capsys):
@@ -904,7 +881,7 @@ _OUTPUT_FLAGS = {
     "audit-drift-out": (
         ["audit-drift", "--config", "II-0", "--drift-eps", "0.01", "--trials", "2"],
         "--out",
-        "generate_drift_ensemble",
+        "audit_drift",
     ),
     "optimize-out": (["optimize", "--dim", "3"], "--out", "maximize_witness"),
 }
@@ -962,7 +939,7 @@ _SAME_FILE = {
          "--out", "sub/../cfg.json"],
         "--out",
         "--config",
-        "generate_drift_ensemble",
+        "audit_drift",
     ),
 }
 

@@ -9,9 +9,11 @@ from scipy.linalg import expm
 from qubitcert import noise
 from qubitcert.configs import BUILTIN_IDS, builtin_config, predicted_prob_matrix
 from qubitcert.noise import (
+    AUDIT_BLOCK_MEMBERS,
     DriftModel,
     apply_common_leakage,
     apply_readout_error,
+    audit_drift,
     coherent_leak_prob_matrix,
     drift_bound,
     generate_drift_ensemble,
@@ -19,7 +21,7 @@ from qubitcert.noise import (
 from qubitcert.witness import prob_matrix, witness
 
 from conftest import random_config
-from drift_reference import reference_ensemble, reference_worst
+from drift_reference import reference_ensemble, reference_worst, worst_pooled
 
 
 # --- incoherent leakage ----------------------------------------------------
@@ -101,6 +103,15 @@ def test_channels_commute_on_witness_scale(rng):
 # --- per-job drift ---------------------------------------------------------
 
 
+def _runs(cfg, model, seed, trials):
+    """The ensembles, ``(trials, n_jobs, 5, 5)``, of runs ``seed`` to
+    ``seed + trials - 1`` drawn as one block."""
+    (ensembles,) = noise._drift_block(
+        cfg, model.epsilon, model.n_jobs, (model.perturbation_mode,), seed, trials
+    )
+    return ensembles
+
+
 def test_drift_model_validation():
     with pytest.raises(ValueError):
         DriftModel(-0.01, 5)
@@ -108,6 +119,50 @@ def test_drift_model_validation():
         DriftModel(0.01, 0)
     with pytest.raises(ValueError):
         DriftModel(0.01, 5, "sideways")
+
+
+@pytest.mark.parametrize("n_jobs", [2.5, True, 3.0, "3"])
+def test_drift_rejects_a_job_count_that_is_no_integer(n_jobs, monkeypatch):
+    """A bool or non-integer job count is rejected by the model and by the
+    audit alike, before anything is drawn; a numpy integer is a count."""
+    monkeypatch.setattr(noise, "offset_seed_words", None)  # any draw would fail
+    message = rf"n_jobs must be an integer, got {n_jobs!r}"
+    with pytest.raises(ValueError, match=message):
+        DriftModel(0.02, n_jobs, "column-mix")
+    with pytest.raises(ValueError, match=message):
+        audit_drift(builtin_config("II-0"), 0.02, n_jobs, ("angle-jitter",), 0, 3)
+    assert DriftModel(0.02, np.int64(3)).n_jobs == 3
+
+
+@pytest.mark.parametrize(
+    "epsilon, n_jobs, mode",
+    [(0.02, 4, "sideways"), (-0.01, 4, "column-mix"), (0.02, 0, "column-mix")],
+)
+def test_audit_drift_rejects_what_the_drift_model_rejects(epsilon, n_jobs, mode, monkeypatch):
+    """A bad mode, budget or job count raises the drift model's message, before
+    anything is drawn."""
+    monkeypatch.setattr(noise, "offset_seed_words", None)  # any draw would fail
+    with pytest.raises(ValueError) as model_error:
+        DriftModel(epsilon, n_jobs, mode)
+    with pytest.raises(ValueError) as audit_error:
+        audit_drift(builtin_config("II-0"), epsilon, n_jobs, ("angle-jitter", mode), 0, 3)
+    assert str(audit_error.value) == str(model_error.value)
+    with pytest.raises(ValueError, match="at least one drift mode"):
+        audit_drift(builtin_config("II-0"), 0.02, 4, (), 0, 3)
+
+
+@pytest.mark.parametrize("n_jobs", [10, 2])
+def test_audit_drift_matches_the_per_trial_reference_in_both_modes(n_jobs):
+    """Over a run one block and three trials long, and over one trial (a block
+    where a reshaped slice of the draws is a view, not a copy), each mode's
+    worst pooled |W| is, to the bit, the one-trial-at-a-time loop's."""
+    cfg, eps = builtin_config("II-0"), 0.02
+    modes = ("angle-jitter", "column-mix")
+    for seed, trials in [(5, AUDIT_BLOCK_MEMBERS // n_jobs + 3), (9, 1)]:
+        worst = audit_drift(cfg, eps, n_jobs, modes, seed, trials)
+        for mode, mode_worst in zip(modes, worst):
+            model = DriftModel(eps, n_jobs, mode)
+            assert mode_worst == reference_worst(cfg, model, seed, trials), (mode, trials)
 
 
 def test_drift_bound_formula():
@@ -120,9 +175,9 @@ def test_drift_bound_formula():
 def test_zero_epsilon_reproduces_reference():
     cfg = builtin_config("I-second")
     ref = predicted_prob_matrix(cfg)
-    ens = generate_drift_ensemble(cfg, DriftModel(0.0, 7), seed=3, trials=2)
-    assert ens.shape == (2, 7, 5, 5)
-    for p in ens.reshape(-1, 5, 5):
+    ens = generate_drift_ensemble(cfg, DriftModel(0.0, 7), seed=3)
+    assert ens.shape == (7, 5, 5)
+    for p in ens:
         assert np.array_equal(p, ref)
 
 
@@ -132,7 +187,7 @@ def test_drift_members_are_witness_zero_and_within_budget(mode, cid):
     cfg = builtin_config(cid)
     ref = predicted_prob_matrix(cfg)
     eps = 0.02
-    ens = generate_drift_ensemble(cfg, DriftModel(eps, 12, mode), seed=42, trials=3)
+    ens = _runs(cfg, DriftModel(eps, 12, mode), 42, 3)
     assert ens.shape == (3, 12, 5, 5)
     for p in ens.reshape(-1, 5, 5):
         assert abs(witness(p)) < 1e-10
@@ -147,7 +202,7 @@ def test_drift_is_deterministic():
     b = generate_drift_ensemble(cfg, m, seed=9)
     assert np.array_equal(a, b)
     c = generate_drift_ensemble(cfg, m, seed=10)
-    assert any(not np.array_equal(x, y) for x, y in zip(a[0], c[0]))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
@@ -155,17 +210,16 @@ def test_drift_trial_depends_only_on_its_own_seed(mode):
     """Trial t of a batch is the one-trial ensemble of seed + t."""
     cfg = builtin_config("II-0")
     m = DriftModel(0.05, 5, mode)
-    batch = generate_drift_ensemble(cfg, m, seed=100, trials=6)
+    batch = _runs(cfg, m, 100, 6)
     for t in range(6):
         alone = generate_drift_ensemble(cfg, m, seed=100 + t)
-        assert batch[t].tobytes() == alone[0].tobytes()
+        assert batch[t].tobytes() == alone.tobytes()
 
 
 def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
-    """The stream heads and reference rows kept between calls belong to one
-    (seed, trials) block and one config: calls that interleave two configs,
-    both modes, and seeds and trial counts that share one part of the key or
-    repeat an earlier key each give the one-trial-at-a-time ensembles."""
+    """Only the reference rows of one config are kept between calls: calls
+    that interleave two configs, both modes, and seeds and trial counts that
+    repeat an earlier call's each give the one-trial-at-a-time ensembles."""
     calls = [
         ("II-0", "angle-jitter", 30, 4),
         ("II-0", "column-mix", 30, 4),  # the same block in the other mode
@@ -178,7 +232,7 @@ def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
     ]
     for cid, mode, seed, trials in calls:
         cfg, model = builtin_config(cid), DriftModel(0.05, 3, mode)
-        batch = generate_drift_ensemble(cfg, model, seed, trials)
+        batch = _runs(cfg, model, seed, trials)
         assert batch.shape == (trials, 3, 5, 5)
         for t in range(trials):
             assert batch[t].tobytes() == reference_ensemble(cfg, model, seed + t).tobytes()
@@ -186,16 +240,22 @@ def test_drift_ensembles_follow_their_own_key_whatever_the_call_order():
 
 @pytest.mark.parametrize("mode", ["angle-jitter", "column-mix"])
 def test_drift_of_numpy_integers_is_that_of_python_ints(mode):
-    """A numpy integer seed and trial count give the ensemble of their values."""
+    """A numpy integer seed and trial count give the ensembles and the audit of
+    their values."""
     cfg, model = builtin_config("II-0"), DriftModel(0.05, 3, mode)
-    a = generate_drift_ensemble(cfg, model, np.int64(7), np.int64(4))
-    b = generate_drift_ensemble(cfg, model, 7, 4)
-    assert a.tobytes() == b.tobytes()
+    a = generate_drift_ensemble(cfg, model, np.int64(7))
+    assert a.tobytes() == generate_drift_ensemble(cfg, model, 7).tobytes()
+    a = _runs(cfg, model, np.int64(7), np.int64(4))
+    assert a.tobytes() == _runs(cfg, model, 7, 4).tobytes()
+    seed = np.uint64(2**64 - 3)
+    a = audit_drift(cfg, 0.05, np.int64(3), (mode,), seed, np.int64(2))
+    assert a == audit_drift(cfg, 0.05, 3, (mode,), 2**64 - 3, 2)
 
 
 def test_drift_needs_a_trial():
-    with pytest.raises(ValueError, match="trials"):
-        generate_drift_ensemble(builtin_config("II-0"), DriftModel(0.01, 3), 0, trials=0)
+    """An audit of no trials raises rather than report a vacuous worst |W|."""
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        audit_drift(builtin_config("II-0"), 0.01, 3, ("angle-jitter", "column-mix"), 0, 0)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 7, 10])
@@ -210,7 +270,7 @@ def test_batched_drift_matches_per_trial_loop(cid, mode, eps, n_jobs):
     cfg = builtin_config(cid)
     model = DriftModel(eps, n_jobs, mode)
     for seed, trials in [(7, 40), (2**32 - 20, 40), (2**64 - 3, 5)]:
-        batch = generate_drift_ensemble(cfg, model, seed, trials)
+        batch = _runs(cfg, model, seed, trials)
         assert batch.shape == (trials, n_jobs, 5, 5)
         for t in range(trials):
             reference = reference_ensemble(cfg, model, seed + t)
@@ -257,7 +317,7 @@ def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
     """A trial whose word 0 has a zero low or high half makes numpy's
     ``integers`` draw again, which shifts the rest of its stream.  Column-mix
     must give what a Generator at that trial's start makes with the old four
-    calls, whether it draws the block itself or reads angle jitter's heads."""
+    calls, and its replay must leave the draws angle jitter reads intact."""
     seed, trials = 500, 8
     # trial seed: (word 0, PCG64 stream, rotation of the crafted state)
     word0 = {
@@ -282,14 +342,16 @@ def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
     monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
     cfg = builtin_config("II-0")
     model = DriftModel(0.05, 3, "column-mix")
-    for first in ("column-mix", "angle-jitter"):
-        noise._heads.clear()
-        if first == "angle-jitter":
-            generate_drift_ensemble(cfg, DriftModel(0.05, 3, first), seed, trials)
-        batch = generate_drift_ensemble(cfg, model, seed, trials)
-        for t, words in enumerate(offset_seed_words(seed, trials)):
-            rng = next(noise.generators(words[None]))
-            assert batch[t].tobytes() == reference_ensemble(cfg, model, rng).tobytes(), t
+    batch = _runs(cfg, model, seed, trials)
+    for t, words in enumerate(offset_seed_words(seed, trials)):
+        rng = next(noise.generators(words[None]))
+        assert batch[t].tobytes() == reference_ensemble(cfg, model, rng).tobytes(), t
+    modes = ("angle-jitter", "column-mix")
+    worst = audit_drift(cfg, 0.05, 3, modes, seed, trials)
+    for mode, mode_worst in zip(modes, worst):
+        model = DriftModel(0.05, 3, mode)
+        rngs = (next(noise.generators(w[None])) for w in offset_seed_words(seed, trials))
+        assert mode_worst == worst_pooled(reference_ensemble(cfg, model, r) for r in rngs)
 
 
 def test_column_mix_moves_the_pooled_witness():
@@ -298,7 +360,7 @@ def test_column_mix_moves_the_pooled_witness():
     cfg = builtin_config("II-0")
     eps = 0.02
     best = 0.0
-    ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 10, "column-mix"), 0, 25)
+    ensembles = _runs(cfg, DriftModel(eps, 10, "column-mix"), 0, 25)
     for ens in ensembles:
         pooled = prob_matrix(np.mean([p[:4] for p in ens], axis=0))
         w = abs(witness(pooled))
@@ -310,7 +372,7 @@ def test_column_mix_moves_the_pooled_witness():
 def test_pooled_jitter_respects_bound(rng):
     cfg = builtin_config("I-second")
     eps = 0.05
-    ensembles = generate_drift_ensemble(cfg, DriftModel(eps, 8, "angle-jitter"), 0, 25)
+    ensembles = _runs(cfg, DriftModel(eps, 8, "angle-jitter"), 0, 25)
     for ens in ensembles:
         pooled = prob_matrix(np.mean([p[:4] for p in ens], axis=0))
         assert abs(witness(pooled)) <= drift_bound(eps)

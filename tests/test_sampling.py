@@ -235,7 +235,7 @@ def test_simulation_draws_each_job_from_its_spawned_generator(truth, seed, stack
     n_jobs, shots, reps = 6, 300, 2
     if stacked:
         cfg = builtin_config("II-0")
-        true_p = generate_drift_ensemble(cfg, DriftModel(0.05, n_jobs, "angle-jitter"), 3)[0]
+        true_p = generate_drift_ensemble(cfg, DriftModel(0.05, n_jobs, "angle-jitter"), 3)
     else:
         true_p = truth
     rec = simulate_record(true_p, n_jobs, shots, reps, seed)
@@ -294,7 +294,7 @@ def test_drift_job_count_must_match_plan(truth, drift_jobs):
 
 def test_drift_simulation_runs(small_run):
     cfg = builtin_config("II-0")
-    drifted = generate_drift_ensemble(cfg, DriftModel(0.02, 4, "column-mix"), small_run[-1])[0]
+    drifted = generate_drift_ensemble(cfg, DriftModel(0.02, 4, "column-mix"), small_run[-1])
     rec = simulate_record(drifted, *small_run, config_id=cfg.id)
     assert rec.config_id == "II-0"
     assert len(rec.job_ids) == 4

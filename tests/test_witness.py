@@ -89,8 +89,8 @@ def test_every_producer_returns_a_read_only_behaviour_matrix():
         assert np.array_equal(q[4], np.ones(5))
     for eps in (0.0, 0.02):
         for mode in ("angle-jitter", "column-mix"):
-            ens = generate_drift_ensemble(cfg, DriftModel(eps, 4, mode), 0, trials=2)
-            assert ens.shape == (2, 4, 5, 5)
+            ens = generate_drift_ensemble(cfg, DriftModel(eps, 4, mode), 0)
+            assert ens.shape == (4, 5, 5)
             assert not ens.flags.writeable
             assert np.all(ens[..., 4, :] == 1.0)
 
