@@ -273,8 +273,8 @@ def generate_drift_ensemble(config: ConfigSet, model: DriftModel, seed: int) -> 
     alternates between two drawn patterns so that pooling does not average the
     drift away.
     """
-    mode = (model.perturbation_mode,)
-    return _drift_block(config, model.epsilon, model.n_jobs, mode, seed, 1)[0][0]
+    modes = (model.perturbation_mode,)
+    return _drift_block(config, model.epsilon, model.n_jobs, modes, seed, 1)[0][0]
 
 
 def audit_drift(

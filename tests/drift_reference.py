@@ -1,5 +1,5 @@
 """One-trial-at-a-time drift ensembles: the per-trial loop that the batched
-``noise.generate_drift_ensemble`` replaced, kept as its oracle.  Each trial
+drift blocks of ``noise`` replaced, kept as their oracle.  Each trial
 draws from its own ``default_rng(seed)`` and builds its matrices one by one."""
 
 import math
