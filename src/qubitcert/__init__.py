@@ -14,8 +14,8 @@ only ``__version__``.  The modules are ``bloch`` (Bloch vectors), ``witness``
 (the behaviour matrix, W, its adjugate and variance), ``configs``
 (configurations and their JSON), ``noise`` (noise channels, drift ensembles,
 their audit and bound), ``sampling`` (records, simulation, estimators), ``extremal``
-(the search for extremal W), ``seeding`` (numpy generator states for many
-runs, seeded in one batched pass), ``reports`` (the analysis report and its
+(the search for extremal W), ``seeding`` (numpy generators for many runs,
+seeded in one batched pass), ``reports`` (the analysis report and its
 renderings) and ``cli`` (the ``qubitcert`` command).
 """
 

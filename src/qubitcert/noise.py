@@ -26,9 +26,9 @@ word 0's low and high 32-bit halves, as ``Generator.integers(0, 5)`` does
 patterns' unit doubles.  Angle jitter takes word 0 as numpy's unit double
 ``(w >> 11) * 2**-53`` and maps the block in place to its range, as
 ``Generator.uniform`` maps them.  A zero half would make numpy draw again and
-shift the stream; such a run (odds 2^-31) is replayed with the Generator's own
-calls.  :func:`audit_drift` pools its runs block by block, so every mode of an
-audit reads one draw, and nothing drawn is kept between calls.
+shift the stream; such a run (odds 2^-31) is replayed on its own
+``default_rng``.  :func:`audit_drift` pools its runs block by block, so every
+mode of an audit reads one draw, and nothing drawn is kept between calls.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _drift_block(
         e0 = u[:, 1:41].copy().reshape(2 * trials, 4, 5)
         for i in np.flatnonzero(halves.reshape(trials, 2).min(axis=1) == 0).tolist():
             # a zero half shifts the stream: replay the Generator's own calls
-            rng = next(generators(offset_seed_words(operator.index(seed) + i, 1)))
+            rng = np.random.default_rng(operator.index(seed) + i)
             for k in (2 * i, 2 * i + 1):
                 t[k] = rng.integers(0, 5)
                 rng.random(out=e0[k])

@@ -14,8 +14,8 @@ fact; both return a :class:`~qubitcert.witness.WitnessResult`:
   single determinant.
 
 Job ``n`` of a simulated record draws from the generator spawned as
-``(seed, n)``; every job's starting state is computed before the first draw,
-in one batched pass (:mod:`~qubitcert.seeding`).
+``(seed, n)``; every job's seed words are hashed before the first draw, in
+one batched pass (:mod:`~qubitcert.seeding`).
 
 Because every term of the determinant's Leibniz expansion touches five
 distinct cells and cells are sampled independently, ``det p_hat`` is an
@@ -176,7 +176,7 @@ def simulate_record(
     of ``generate_drift_ensemble``.  Each job's counts come from an
     independent generator spawned from ``(seed, job index)``, so records are
     reproducible and independent of execution order; :mod:`~qubitcert.seeding`
-    computes every job's starting state in one batched pass.
+    hashes every job's seed words in one batched pass.
     """
     _check_run(n_jobs, shots, repetitions, seed)
     job_ps = np.asarray(true_p)

@@ -1,4 +1,4 @@
-"""numpy's PCG64 starting states for many runs, seeded in one batched pass.
+"""numpy's PCG64 generators for many runs, seeded in one batched pass.
 
 Drift trial ``t`` draws from ``default_rng(seed + t)``, and record job or
 search restart ``t`` from ``default_rng(SeedSequence(seed, spawn_key=(t,)))``.
@@ -8,11 +8,11 @@ the same hash runs once over an ``(L, count)`` uint32 array of every run's
 entropy words: ``SeedSequence``'s entropy mix, then its ``generate_state`` of
 the four 64-bit words PCG64 seeds from.  The hash constants do not depend on
 the words, so they are precomputed as uint32 columns and each step hashes
-the four pool words of every run at once.  Each run keeps only those 32 bytes;
-PCG64's two seeding steps, in Python ints, build a run's state only when
-:func:`generators` sets it on its one bit generator.  numpy's RNG policy
-(NEP 19) keeps ``SeedSequence`` and the PCG64 stream fixed across releases,
-and ``tests/test_seeding.py`` pins every state against numpy's constructors.
+the four pool words of every run at once.  :func:`generators` hands each run's
+words to numpy's own PCG64 constructor, through its ``ISeedSequence``
+interface, and gives every run its own Generator.  numpy's RNG policy (NEP 19)
+keeps ``SeedSequence`` and the PCG64 stream fixed across releases, and
+``tests/test_seeding.py`` pins every state against numpy's constructors.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-#: rows of seed words turned into Python ints at a time
-_CHUNK = 4096
 
 
 def _words(first: int, count: int, width: int) -> np.ndarray:
@@ -164,20 +157,25 @@ def spawned_seed_words(seed: int, count: int) -> np.ndarray:
     return _seed_words(entropy, lengths)
 
 
+@functools.cache
+def _words_type() -> type:
+    """An array of one run's four seed words that numpy's PCG64 takes as its
+    ``ISeedSequence`` and reads by raw pointer.  It is made on first use: its
+    import loads ``numpy.random``, which ``analyze`` and ``gen-config`` never need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(np.ndarray, ISeedSequence):
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 seed words, not {n_words} of {np.dtype(dtype)}")
+            return self
+
+    return Words
+
+
 def generators(seed_words: np.ndarray) -> Iterator[np.random.Generator]:
-    """For each row of seed words in turn, a Generator at the start of that
-    run's stream.  It is the same Generator every time, over one PCG64 made
-    for this call, so draw from it before taking the next."""
-    bit_gen = np.random.PCG64()  # its own seeding is never drawn from
-    rng = np.random.Generator(bit_gen)
-    for start in range(0, len(seed_words), _CHUNK):
-        for s_hi, s_lo, i_hi, i_lo in seed_words[start : start + _CHUNK].tolist():
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    """For each row of four seed words in turn, a new Generator at the start
+    of that run's stream, built by numpy's own PCG64 constructor."""
+    rows = np.ascontiguousarray(seed_words, dtype=np.uint64).reshape(-1, 4)
+    for words in rows.view(_words_type()):
+        yield np.random.Generator(np.random.PCG64(words))

@@ -327,7 +327,8 @@ def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
         506: (0x0000000100000000, 2**127 + 1, 5),  # zero low half
     }
     crafted = {s: _seed_words_starting_with(*args) for s, args in word0.items()}
-    real_words = noise.offset_seed_words
+    real_words, real_default_rng = noise.offset_seed_words, np.random.default_rng
+    replayed = []
 
     def offset_seed_words(first, count):
         words = real_words(first, count)
@@ -336,10 +337,18 @@ def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
                 words[t] = crafted[first + t]
         return words
 
+    def default_rng(seed):
+        # the replay's constructor sees the crafted trials' streams too
+        if seed in crafted:
+            replayed.append(seed)
+            return next(noise.generators(np.array([crafted[seed]], dtype=np.uint64)))
+        return real_default_rng(seed)
+
     for s, (word, _, _) in word0.items():
         rng = next(noise.generators(np.array([crafted[s]], dtype=np.uint64)))
         assert rng.bit_generator.random_raw() == word
     monkeypatch.setattr(noise, "offset_seed_words", offset_seed_words)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     cfg = builtin_config("II-0")
     model = DriftModel(0.05, 3, "column-mix")
     batch = _runs(cfg, model, seed, trials)
@@ -352,6 +361,7 @@ def test_column_mix_replays_a_zero_half_with_the_generator(monkeypatch):
         model = DriftModel(0.05, 3, mode)
         rngs = (next(noise.generators(w[None])) for w in offset_seed_words(seed, trials))
         assert mode_worst == worst_pooled(reference_ensemble(cfg, model, r) for r in rngs)
+    assert replayed == sorted(crafted) * 2  # once per column-mix pass
 
 
 def test_column_mix_moves_the_pooled_witness():

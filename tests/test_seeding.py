@@ -67,12 +67,38 @@ def test_spawn_keys_of_two_words_match_numpy(seed):
     assert _states(words) == [_spawned(seed, key).state for key in keys]
 
 
-def test_states_match_numpy_across_chunks(monkeypatch):
-    """Seed words become Python ints a chunk of rows at a time; the states
-    run on unbroken across chunk boundaries."""
-    monkeypatch.setattr(seeding, "_CHUNK", 3)
-    states = _states(spawned_seed_words(5, 10))
-    assert states == [_spawned(5, t).state for t in range(10)]
+def test_every_run_keeps_its_own_generator():
+    """Every Generator of one call stays at its run's stream when all are
+    taken first and drawn from in reverse order."""
+    rngs = list(generators(offset_seed_words(40, 5)))
+    for t in reversed(range(5)):
+        expected = np.random.default_rng(40 + t)
+        assert rngs[t].random(7).tobytes() == expected.random(7).tobytes()
+
+
+def test_any_layout_of_seed_words_gives_numpys_states():
+    """numpy reads the seed words by raw pointer, so a Fortran-ordered or
+    strided array must still hand over each run's own four words."""
+    words = spawned_seed_words(3, 6)
+    expected = [_spawned(3, t).state for t in range(6)]
+    assert _states(np.asfortranarray(words)) == expected
+    strided = np.repeat(words, 2, axis=0)[::2]
+    assert not strided.flags.c_contiguous
+    assert _states(strided) == expected
+
+
+def test_the_seed_words_answer_only_pcg64s_request():
+    """A run's words serve only PCG64's ``generate_state(4, np.uint64)``;
+    any other request raises, as do seed words that are not rows of four."""
+    rng = next(generators(offset_seed_words(9, 1)))
+    seed_seq = rng.bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).tobytes() == offset_seed_words(9, 1).tobytes()
+    for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)]:
+        with pytest.raises(ValueError, match="4 uint64 seed words"):
+            seed_seq.generate_state(n_words, dtype)
+    for bad in (np.zeros((2, 3), np.uint64), np.zeros(5, np.uint64)):
+        with pytest.raises(ValueError, match="reshape"):
+            next(generators(bad))
 
 
 def test_a_run_draws_numpys_stream():
