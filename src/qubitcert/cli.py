@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
         true_p = coherent_leak_prob_matrix(config, args.coherent_leak)
     else:
         true_p = predicted_prob_matrix(config)
-    if args.leak_lambda or args.leak_mu:
+    if args.leak_lambda:
         true_p = apply_common_leakage(true_p, args.leak_lambda, args.leak_mu)
     if args.readout_e0 or args.readout_e1:
         true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)

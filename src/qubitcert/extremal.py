@@ -31,8 +31,8 @@ Known targets reproduced by the search: 0 in d=2 (identically), 27*sqrt(2)/64
 in d=3 over the reals, about 0.6319 in d=3 over the complex field, and
 2^12/3^7 in d=4 (both fields; the maximizer needs a rank-2 projector, which is
 why effect updates keep the full positive eigenspace instead of forcing
-rank 1).  Deterministic 0/1 strategies reach |W| = 3, verified exactly by
-:func:`classical_max_detail` via exhaustive integer enumeration.
+rank 1).  Deterministic 0/1 strategies reach |W| = 3, which
+``tests/classical_reference.py`` verifies by exhaustive integer enumeration.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
-from .seeding import generators, spawned_seed_words
+from .seeding import generators, integer_arg, spawned_seed_words
 from .witness import W_CEILING, adjugate, prob_matrix
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "KNOWN_MAXIMA",
     "strategy_prob_matrix",
     "maximize_witness",
-    "classical_max_detail",
     "search_result_to_dict",
     "save_search_result",
 ]
@@ -269,60 +267,12 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
         raise ValueError(f"d must be 2, 3 or 4, got {d}")
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts, seed = integer_arg("restarts", restarts, 1), integer_arg("seed", seed, 0)
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     psis, effs, ws, n_sweeps, convs = _seesaw(d, field, seed, restarts, _SWEEPS)
     win = int(np.argmax(ws))
     return SearchResult(StrategyPoint(psis[win], effs[win]), field, ws, n_sweeps, convs)
-
-
-# ---------------------------------------------------------------------------
-# Exact classical maximum
-
-
-def _det4_table() -> np.ndarray:
-    """det of every 4x4 0/1 matrix, indexed by its 16-bit row-major mask."""
-    masks = np.arange(1 << 16, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(16)) & 1).astype(np.int64)
-    dets = np.zeros(1 << 16, dtype=np.int64)
-    for perm in permutations(range(4)):
-        sign = int(np.sign(np.prod([perm[b] - perm[a] for a in range(4) for b in range(a + 1, 4)])))
-        cells = [4 * r + perm[r] for r in range(4)]
-        dets += sign * bits[:, cells].prod(axis=1)
-    return dets
-
-
-def classical_max_detail() -> tuple[int, int, np.ndarray]:
-    """(max |W|, number of optimal assignments, one optimal matrix) over all
-    2^20 deterministic 0/1 strategies, in exact integer arithmetic.
-
-    The determinant is expanded along the ones row: W = sum_j (-1)^j minor_j,
-    with each 4x4 minor looked up by its bit mask.
-    """
-    det4 = _det4_table()
-    masks = np.arange(1 << 20, dtype=np.int64)
-    total = np.zeros(1 << 20, dtype=np.int64)
-    for j in range(5):
-        cols = [c for c in range(5) if c != j]
-        positions = [5 * r + c for r in range(4) for c in cols]
-        sub = np.zeros(1 << 20, dtype=np.int64)
-        for t, pos in enumerate(positions):
-            sub |= ((masks >> pos) & 1) << t
-        total += (1 if j % 2 == 0 else -1) * det4[sub]
-    absw = np.abs(total)
-    best = int(absw.max())
-    count = int((absw == best).sum())
-    winner = int(np.argmax(absw == best))
-    rows = ((winner >> np.arange(20)) & 1).astype(np.int64).reshape(4, 5)
-    example = np.vstack([rows, np.ones(5, dtype=np.int64)])
-    return best, count, example
 
 
 # ---------------------------------------------------------------------------

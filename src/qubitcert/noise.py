@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
-from .seeding import generators, offset_seed_words
+from .seeding import generators, integer_arg, offset_seed_words
 from .witness import prob_matrix
 
 __all__ = [
@@ -68,18 +67,18 @@ _JITTER_LIPSCHITZ = 1.0 + _SQRT2
 AUDIT_BLOCK_MEMBERS = 10_240
 
 
-def _check_drift(epsilon: float, n_jobs: int, mode: str) -> None:
-    """Reject a drift budget, job count (not a bool) or mode of no drifting run."""
+def _check_drift(epsilon: float, n_jobs: int, modes) -> int:
+    """Reject a drift budget, job count or mode of no drifting run; return
+    ``n_jobs`` as a Python int."""
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if isinstance(n_jobs, bool) or not isinstance(n_jobs, (int, np.integer)):
-        raise ValueError(f"n_jobs must be an integer, got {n_jobs!r}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if mode not in ("angle-jitter", "column-mix"):
-        raise ValueError(
-            f"perturbation_mode must be 'angle-jitter' or 'column-mix', got {mode!r}"
-        )
+    n_jobs = integer_arg("n_jobs", n_jobs, 1)
+    for mode in modes:
+        if mode not in ("angle-jitter", "column-mix"):
+            raise ValueError(
+                f"perturbation_mode must be 'angle-jitter' or 'column-mix', got {mode!r}"
+            )
+    return n_jobs
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class DriftModel:
     perturbation_mode: str = "angle-jitter"
 
     def __post_init__(self) -> None:
-        _check_drift(self.epsilon, self.n_jobs, self.perturbation_mode)
+        _check_drift(self.epsilon, self.n_jobs, (self.perturbation_mode,))
 
 
 def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> np.ndarray:
@@ -250,7 +249,7 @@ def _drift_block(
         e0 = u[:, 1:41].copy().reshape(2 * trials, 4, 5)
         for i in np.flatnonzero(halves.reshape(trials, 2).min(axis=1) == 0).tolist():
             # a zero half shifts the stream: replay the Generator's own calls
-            rng = np.random.default_rng(operator.index(seed) + i)
+            rng = np.random.default_rng(seed + i)
             for k in (2 * i, 2 * i + 1):
                 t[k] = rng.integers(0, 5)
                 rng.random(out=e0[k])
@@ -273,7 +272,7 @@ def generate_drift_ensemble(config: ConfigSet, model: DriftModel, seed: int) -> 
     alternates between two drawn patterns so that pooling does not average the
     drift away.
     """
-    modes = (model.perturbation_mode,)
+    modes, seed = (model.perturbation_mode,), integer_arg("seed", seed, 0)
     return _drift_block(config, model.epsilon, model.n_jobs, modes, seed, 1)[0][0]
 
 
@@ -287,11 +286,8 @@ def audit_drift(
     members, and every mode reads one draw of each block."""
     if not modes:
         raise ValueError("modes must name at least one drift mode")
-    for mode in modes:
-        _check_drift(epsilon, n_jobs, mode)
-    seed, trials = operator.index(seed), operator.index(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n_jobs = _check_drift(epsilon, n_jobs, modes)
+    seed, trials = integer_arg("seed", seed, 0), integer_arg("trials", trials, 1)
     worst = [0.0] * len(modes)
     block = max(1, AUDIT_BLOCK_MEMBERS // n_jobs)
     for start in range(0, trials, block):

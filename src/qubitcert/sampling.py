@@ -47,7 +47,7 @@ import numpy as np
 
 # never called here: a patch target of the benchmark tracer until it drops it
 from .noise import generate_drift_ensemble  # noqa: F401
-from .seeding import generators, spawned_seed_words
+from .seeding import generators, integer_arg, spawned_seed_words
 from .witness import WitnessResult, prob_matrix, witness, witness_variance
 
 __all__ = [
@@ -76,14 +76,13 @@ class RecordSchemaError(ValueError):
 
 def _check_run(n_jobs: int, shots: int, repetitions: int, seed: int) -> None:
     """Reject a run of ``n_jobs`` jobs of ``repetitions`` x ``shots`` shots
-    that is empty, has a negative seed, or puts more counts in a cell,
-    T = n_jobs * shots * repetitions, than int64 holds."""
+    whose counts or seed :func:`~qubitcert.seeding.integer_arg` rejects, or
+    that puts more counts in a cell, T = n_jobs * shots * repetitions, than
+    int64 holds."""
+    total = 1  # a product of Python ints, which cannot wrap
     for name, value in (("n_jobs", n_jobs), ("shots", shots), ("repetitions", repetitions)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    total = int(n_jobs) * int(shots) * int(repetitions)  # numpy integers would wrap
+        total *= integer_arg(name, value, 1)
+    integer_arg("seed", seed, 0)
     if total > _INT64_MAX:
         raise ValueError(
             f"total count n_jobs * shots * repetitions reaches {total}, above {_INT64_MAX}"
@@ -253,10 +252,7 @@ def estimator_bias_study(
         raise ValueError("shots must hold at least one shot count")
     for s in shots:  # the first pass also checks n_jobs and seed
         _check_run(n_jobs, s, 1, seed)
-    if replications < 2:
-        raise ValueError(
-            f"replications must be >= 2 for a standard error, got {replications}"
-        )
+    integer_arg("replications", replications, 2)  # two give a standard error
     if abs(witness(true_p)) > 1e-10:
         raise ValueError("bias study requires a witness-zero truth matrix")
     cells = true_p[:4]

@@ -13,17 +13,18 @@ words to numpy's own PCG64 constructor, through its ``ISeedSequence``
 interface, and gives every run its own Generator.  numpy's RNG policy (NEP 19)
 keeps ``SeedSequence`` and the PCG64 stream fixed across releases, and
 ``tests/test_seeding.py`` pins every state against numpy's constructors.
+:func:`integer_arg` is the one check of every count and seed argument of the
+package's public calls.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["offset_seed_words", "spawned_seed_words", "generators"]
+__all__ = ["integer_arg", "offset_seed_words", "spawned_seed_words", "generators"]
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -119,19 +120,22 @@ def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T).view("<u8")
 
 
-def _check(seed: int, count: int) -> tuple[int, int]:
-    """``seed`` and ``count`` as Python ints, both >= 0.  numpy integers are
-    converted first: they have no ``bit_length``, and ``seed + t`` could wrap."""
-    seed, count = operator.index(seed), operator.index(count)
-    if seed < 0 or count < 0:
-        raise ValueError(f"need seed >= 0 and count >= 0, got {seed}, {count}")
-    return seed, count
+def integer_arg(name: str, value, minimum: int) -> int:
+    """``value``, the count or seed argument ``name``, as a Python int: an
+    ``int`` or numpy integer, never a bool, and at least ``minimum``.  numpy
+    integers are converted: ``seed + t`` could wrap in one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def offset_seed_words(seed: int, count: int) -> np.ndarray:
     """Seed words of ``np.random.PCG64(seed + t)`` for t = 0..count-1,
     shape (count, 4) uint64."""
-    seed, count = _check(seed, count)
+    seed, count = integer_arg("seed", seed, 0), integer_arg("count", count, 0)
     width = max(_POOL_SIZE, _n_words(seed + max(count - 1, 0)))
     entropy = _words(seed, count, width)
     # rows holding more than four words are cut at their highest nonzero one
@@ -144,7 +148,7 @@ def offset_seed_words(seed: int, count: int) -> np.ndarray:
 def spawned_seed_words(seed: int, count: int) -> np.ndarray:
     """Seed words of ``np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(t,)))`` for t = 0..count-1, shape (count, 4) uint64."""
-    seed, count = _check(seed, count)
+    seed, count = integer_arg("seed", seed, 0), integer_arg("count", count, 0)
     # the run entropy is padded to the pool size before the spawn key
     run = max(_POOL_SIZE, _n_words(seed))
     key = _n_words(max(count - 1, 0))

@@ -36,8 +36,8 @@ __all__ = [
 _ATOL = 1e-12
 
 #: Largest |W| of any behaviour matrix.  The determinant is affine in each
-#: entry, so its maximum over [0, 1]^20 sits at a 0/1 vertex, where
-#: :func:`~qubitcert.extremal.classical_max_detail` finds 3.
+#: entry, so its maximum over [0, 1]^20 sits at a 0/1 vertex, where the
+#: exhaustive enumeration in ``tests/classical_reference.py`` finds 3.
 W_CEILING = 3.0
 
 

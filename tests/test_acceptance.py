@@ -19,7 +19,6 @@ from qubitcert.configs import (
 )
 from qubitcert.extremal import (
     DEFAULT_RESTARTS,
-    classical_max_detail,
     maximize_witness,
 )
 from qubitcert.noise import (
@@ -34,6 +33,7 @@ from qubitcert.sampling import (
 )
 from qubitcert.witness import prob_matrix, witness, witness_variance
 
+from classical_reference import classical_max_detail
 from conftest import random_config
 
 

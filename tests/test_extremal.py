@@ -19,7 +19,6 @@ from qubitcert.extremal import (
     _starts,
     SearchResult,
     StrategyPoint,
-    classical_max_detail,
     maximize_witness,
     save_search_result,
     search_result_to_dict,
@@ -27,6 +26,7 @@ from qubitcert.extremal import (
 )
 from qubitcert.witness import adjugate, witness
 
+from classical_reference import classical_max_detail
 from conftest import random_config, strategy_from_config
 
 D3_REAL_MAX = 27.0 * math.sqrt(2.0) / 64.0

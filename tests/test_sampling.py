@@ -555,6 +555,23 @@ def test_schema_error_names_first_offender():
         record_from_dict(doc)
     assert err.value.field == "jobs"
 
+    doc = _valid_doc()
+    doc["timestamp"] = 20240101
+    bad_rows = _valid_doc()
+    bad_rows["jobs"][0]["counts"].append([[5, 10]] * 20)  # two rows, one repetition
+    short_row = _valid_doc()
+    short_row["jobs"][0]["counts"][0] = [[5, 10]] * 19
+    for bad, field in [
+        ([_valid_doc()], "$"),
+        (doc, "timestamp"),
+        ({**_valid_doc(), "jobs": _valid_doc()["jobs"] + ["job-0001"]}, "jobs[1]"),
+        (bad_rows, "jobs[0].counts"),
+        (short_row, "jobs[0].counts[0]"),
+    ]:
+        with pytest.raises(RecordSchemaError) as err:
+            record_from_dict(bad)
+        assert err.value.field == field
+
 
 def test_schema_error_is_value_error():
     assert issubclass(RecordSchemaError, ValueError)

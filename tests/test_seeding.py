@@ -1,12 +1,18 @@
 """The batched seeding gives exactly the starting states of numpy's own
 constructors, for both seedings, at seeds on either side of word boundaries."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitcert import seeding
+from qubitcert.configs import builtin_config, predicted_prob_matrix
+from qubitcert.extremal import maximize_witness
+from qubitcert.noise import DriftModel, audit_drift, generate_drift_ensemble
+from qubitcert.sampling import estimator_bias_study, simulate_record
 from qubitcert.seeding import generators, offset_seed_words, spawned_seed_words
 
 #: small seeds; blocks crossing 2^32 and 2^64 (one word to two, two to
@@ -115,7 +121,7 @@ def test_numpy_integers_give_the_words_of_python_ints(words):
     for seed, count in [(np.int64(5), np.int64(7)), (np.uint8(250), np.uint8(10))]:
         expected = words(int(seed), int(count))
         assert words(seed, count).tobytes() == expected.tobytes()
-    with pytest.raises(ValueError, match="seed >= 0"):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         words(np.int64(-1), 3)
 
 
@@ -123,7 +129,53 @@ def test_no_runs_and_bad_arguments():
     assert offset_seed_words(5, 0).shape == spawned_seed_words(5, 0).shape == (0, 4)
     assert list(generators(offset_seed_words(5, 0))) == []
     for words in (offset_seed_words, spawned_seed_words):
-        with pytest.raises(ValueError, match="seed >= 0"):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
             words(-1, 3)
-        with pytest.raises(ValueError, match="count >= 0"):
+        with pytest.raises(ValueError, match="count must be >= 0"):
             words(1, -3)
+
+
+_II0 = builtin_config("II-0")
+_P = predicted_prob_matrix(_II0)
+_MODEL = DriftModel(0.02, 3)
+_MODES = ("angle-jitter", "column-mix")
+
+#: every count and seed argument of the public calls: (call, argument, the
+#: call with the argument set to v and every other argument valid)
+ARGUMENTS = [
+    ("simulate_record", "n_jobs", lambda v: simulate_record(_P, v, 10, 1)),
+    ("simulate_record", "shots", lambda v: simulate_record(_P, 2, v, 1)),
+    ("simulate_record", "repetitions", lambda v: simulate_record(_P, 2, 10, v)),
+    ("simulate_record", "seed", lambda v: simulate_record(_P, 2, 10, 1, v)),
+    ("estimator_bias_study", "n_jobs", lambda v: estimator_bias_study(_P, v, [10], 3)),
+    ("estimator_bias_study", "shots", lambda v: estimator_bias_study(_P, 2, [10, v], 3)),
+    ("estimator_bias_study", "replications", lambda v: estimator_bias_study(_P, 2, [10], v)),
+    ("estimator_bias_study", "seed", lambda v: estimator_bias_study(_P, 2, [10], 3, v)),
+    ("maximize_witness", "restarts", lambda v: maximize_witness(3, "real", v)),
+    ("maximize_witness", "seed", lambda v: maximize_witness(3, "real", 2, v)),
+    ("DriftModel", "n_jobs", lambda v: DriftModel(0.02, v)),
+    ("generate_drift_ensemble", "seed", lambda v: generate_drift_ensemble(_II0, _MODEL, v)),
+    ("audit_drift", "n_jobs", lambda v: audit_drift(_II0, 0.02, v, _MODES, 0, 3)),
+    ("audit_drift", "seed", lambda v: audit_drift(_II0, 0.02, 3, _MODES, v, 3)),
+    ("audit_drift", "trials", lambda v: audit_drift(_II0, 0.02, 3, _MODES, 0, v)),
+    ("offset_seed_words", "seed", lambda v: offset_seed_words(v, 3)),
+    ("offset_seed_words", "count", lambda v: offset_seed_words(0, v)),
+    ("spawned_seed_words", "seed", lambda v: spawned_seed_words(v, 3)),
+    ("spawned_seed_words", "count", lambda v: spawned_seed_words(0, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "name, call", [pytest.param(n, c, id=f"{f}-{n}") for f, n, c in ARGUMENTS]
+)
+def test_every_count_and_seed_argument_takes_only_integers(monkeypatch, name, call, value):
+    """A bool, a float or a string is no count or seed anywhere: each call
+    names the argument, with one message, before anything is drawn."""
+    for attr in ("default_rng", "Generator"):
+        monkeypatch.setattr(
+            np.random, attr, lambda *a, **k: pytest.fail("drew before the check")
+        )
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
