@@ -26,21 +26,18 @@ and are exercised against direct matrix products in the test suite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["TWO_PI", "reduce_angle", "prep_bloch_vectors", "meas_bloch_vectors"]
+from .seeding import real_arg
 
-TWO_PI = 2.0 * math.pi
+__all__ = ["reduce_angle", "prep_bloch_vectors", "meas_bloch_vectors"]
+
+TWO_PI = 2.0 * np.pi
 
 
 def reduce_angle(gamma: float) -> float:
     """Reduce an angle to the canonical interval [0, 2*pi)."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError(f"angle must be finite, got {gamma!r}")
-    reduced = gamma % TWO_PI
+    reduced = real_arg("angle", gamma) % TWO_PI
     # A tiny negative input rounds its remainder up to exactly 2*pi; keep the
     # interval half open.
     return 0.0 if reduced == TWO_PI else reduced

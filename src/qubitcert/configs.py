@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors, reduce_angle
+from .seeding import real_arg
 from .witness import prob_matrix
 
 __all__ = [
@@ -134,9 +134,10 @@ def parametric_config(i: float) -> ConfigSet:
     sweeps the fifth Bloch vector (-sin(2*pi*i/5), -cos(2*pi*i/5), 0) around
     the equator.
     """
-    alpha5 = 2.0 * _PI * float(i) / 5.0
+    i = real_arg("i", i)
+    alpha5 = 2.0 * _PI * i / 5.0
     return ConfigSet(
-        id=f"II-{float(i):g}",
+        id=f"II-{i:g}",
         preparations=_PREPS_II_FIXED + ((alpha5, alpha5 + _PI / 2),),
         measurements=_MEAS_I_SECOND,
     )
@@ -192,14 +193,6 @@ def config_to_dict(config: ConfigSet) -> dict:
     }
 
 
-def _angle(value, field: str) -> float:
-    # bool is an int subclass, but true is not an angle; NaN fails the bound
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{field} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def config_from_dict(data: dict) -> ConfigSet:
     """Parse a config document; a malformed one raises ValueError naming the
     offending field, e.g. ``preparations[2][0]``."""
@@ -219,7 +212,7 @@ def config_from_dict(data: dict) -> ConfigSet:
         for i, entry in enumerate(raw):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"{key}[{i}] must be an [angle, angle] pair, got {entry!r}")
-            out.append((_angle(entry[0], f"{key}[{i}][0]"), _angle(entry[1], f"{key}[{i}][1]")))
+            out.append((real_arg(f"{key}[{i}][0]", entry[0]), real_arg(f"{key}[{i}][1]", entry[1])))
         pairs[key] = tuple(out)
     return ConfigSet(data["id"], pairs["preparations"], pairs["measurements"])
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
-from .seeding import generators, integer_arg, offset_seed_words
+from .seeding import generators, integer_arg, offset_seed_words, real_arg
 from .witness import prob_matrix
 
 __all__ = [
@@ -67,10 +67,10 @@ _JITTER_LIPSCHITZ = 1.0 + _SQRT2
 AUDIT_BLOCK_MEMBERS = 10_240
 
 
-def _check_drift(epsilon: float, n_jobs: int, modes) -> int:
+def _check_drift(epsilon: float, n_jobs: int = 1, modes=()) -> tuple[float, int]:
     """Reject a drift budget, job count or mode of no drifting run; return
-    ``n_jobs`` as a Python int."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    ``epsilon`` and ``n_jobs`` as a Python float and int."""
+    if (epsilon := real_arg("epsilon", epsilon)) < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     n_jobs = integer_arg("n_jobs", n_jobs, 1)
     for mode in modes:
@@ -78,7 +78,7 @@ def _check_drift(epsilon: float, n_jobs: int, modes) -> int:
             raise ValueError(
                 f"perturbation_mode must be 'angle-jitter' or 'column-mix', got {mode!r}"
             )
-    return n_jobs
+    return epsilon, n_jobs
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,9 @@ class DriftModel:
     perturbation_mode: str = "angle-jitter"
 
     def __post_init__(self) -> None:
-        _check_drift(self.epsilon, self.n_jobs, (self.perturbation_mode,))
+        checked = _check_drift(self.epsilon, self.n_jobs, (self.perturbation_mode,))
+        for field, value in zip(("epsilon", "n_jobs"), checked):
+            object.__setattr__(self, field, value)
 
 
 def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> np.ndarray:
@@ -116,6 +118,7 @@ def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> n
     N' = (1-lambda) N + lambda |e><e| against effects with <e|M'|e> = mu.
     Scales any witness by (1 - lambda)^4; a zero witness stays zero.
     """
+    lambda_prep, mu_meas = real_arg("lambda_prep", lambda_prep), real_arg("mu_meas", mu_meas)
     if not 0.0 <= lambda_prep < 1.0:
         raise ValueError(f"lambda_prep must be in [0, 1), got {lambda_prep}")
     if not 0.0 <= mu_meas <= 1.0:
@@ -126,6 +129,7 @@ def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> n
 def apply_readout_error(p: np.ndarray, e0: float, e1: float) -> np.ndarray:
     """Uniform assignment errors: 0 read as 1 with ``e0``, 1 read as 0 with
     ``e1``; p' = e0 + (1 - e0 - e1) p.  Scales the witness by (1-e0-e1)^4."""
+    e0, e1 = real_arg("e0", e0), real_arg("e1", e1)
     if not (0.0 <= e0 < 1.0 and 0.0 <= e1 < 1.0 and e0 + e1 < 1.0):
         raise ValueError(f"need e0, e1 in [0, 1) with e0 + e1 < 1, got {e0}, {e1}")
     return prob_matrix(e0 + (1.0 - e0 - e1) * p[:4])
@@ -134,8 +138,7 @@ def apply_readout_error(p: np.ndarray, e0: float, e1: float) -> np.ndarray:
 def drift_bound(epsilon: float) -> float:
     """Upper bound 80*sqrt(2)*eps^2 on the pooled witness of any mixture of
     witness-zero matrices within ``epsilon`` of a common reference."""
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = _check_drift(epsilon)[0]
     return 80.0 * _SQRT2 * epsilon * epsilon
 
 
@@ -284,9 +287,11 @@ def audit_drift(
     ``seed`` to ``seed + trials - 1``.  The inputs are checked before any
     draw; the runs go in blocks of about :data:`AUDIT_BLOCK_MEMBERS` ensemble
     members, and every mode reads one draw of each block."""
+    if isinstance(modes, str):
+        raise ValueError(f"modes must be a sequence of mode names, got the string {modes!r}")
     if not modes:
         raise ValueError("modes must name at least one drift mode")
-    n_jobs = _check_drift(epsilon, n_jobs, modes)
+    epsilon, n_jobs = _check_drift(epsilon, n_jobs, modes)
     seed, trials = integer_arg("seed", seed, 0), integer_arg("trials", trials, 1)
     worst = [0.0] * len(modes)
     block = max(1, AUDIT_BLOCK_MEMBERS // n_jobs)
@@ -329,8 +334,7 @@ def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> np.ndarra
     every gate embedded as the leaky qutrit unitary above, a phase-dependent
     coherent rotation by ``leak_angle`` into a third level.  ``leak_angle = 0``
     reduces exactly to the qubit model."""
-    if not math.isfinite(leak_angle):
-        raise ValueError("leak_angle must be finite")
+    leak_angle = real_arg("leak_angle", leak_angle)
     ket0 = np.zeros(3, dtype=complex)
     ket0[0] = 1.0
     preps = [

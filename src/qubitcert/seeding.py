@@ -14,17 +14,18 @@ interface, and gives every run its own Generator.  numpy's RNG policy (NEP 19)
 keeps ``SeedSequence`` and the PCG64 stream fixed across releases, and
 ``tests/test_seeding.py`` pins every state against numpy's constructors.
 :func:`integer_arg` is the one check of every count and seed argument of the
-package's public calls.
+package's public calls, and :func:`real_arg` of every real-valued one.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["integer_arg", "offset_seed_words", "spawned_seed_words", "generators"]
+__all__ = ["integer_arg", "real_arg", "offset_seed_words", "spawned_seed_words", "generators"]
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -130,6 +131,16 @@ def integer_arg(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def real_arg(name: str, value) -> float:
+    """``value``, the real argument ``name``, as a finite Python float: an
+    ``int``, ``float`` or numpy real scalar, never a bool.  One bound test
+    rejects NaN, +-inf and an int too large for a float."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not (real and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def offset_seed_words(seed: int, count: int) -> np.ndarray:

@@ -52,10 +52,9 @@ def prob_matrix(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-2:] != (4, 5):
         raise ValueError(f"expected four rows of five, got {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("probability matrix entries must be finite")
-    if np.any(rows < -_ATOL) or np.any(rows > 1.0 + _ATOL):
-        raise ValueError("probability matrix entries must lie in [0, 1]")
+    # NaN fails both comparisons and +-inf one, so this also rejects non-finite entries
+    if not np.all((rows >= -_ATOL) & (rows <= 1.0 + _ATOL)):
+        raise ValueError("probability matrix entries must be finite and lie in [0, 1]")
     p = np.ones(rows.shape[:-2] + (5, 5))
     p[..., :4, :] = np.clip(rows, 0.0, 1.0)
     p.flags.writeable = False

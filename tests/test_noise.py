@@ -151,6 +151,16 @@ def test_audit_drift_rejects_what_the_drift_model_rejects(epsilon, n_jobs, mode,
         audit_drift(builtin_config("II-0"), 0.02, 4, (), 0, 3)
 
 
+def test_audit_drift_rejects_a_string_of_modes(monkeypatch):
+    """A single mode name passed as ``modes`` is named as such, not read one
+    character at a time, before anything is drawn."""
+    monkeypatch.setattr(noise, "offset_seed_words", None)  # any draw would fail
+    for modes in ("column-mix", ""):
+        message = f"^modes must be a sequence of mode names, got the string {modes!r}$"
+        with pytest.raises(ValueError, match=message):
+            audit_drift(builtin_config("II-0"), 0.02, 3, modes, 0, 2)
+
+
 @pytest.mark.parametrize("n_jobs", [10, 2])
 def test_audit_drift_matches_the_per_trial_reference_in_both_modes(n_jobs):
     """Over a run one block and three trials long, and over one trial (a block

@@ -9,9 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitcert import seeding
-from qubitcert.configs import builtin_config, predicted_prob_matrix
+from qubitcert.bloch import reduce_angle
+from qubitcert.configs import (
+    ConfigSet,
+    builtin_config,
+    config_from_dict,
+    config_to_dict,
+    parametric_config,
+    predicted_prob_matrix,
+)
 from qubitcert.extremal import maximize_witness
-from qubitcert.noise import DriftModel, audit_drift, generate_drift_ensemble
+from qubitcert.noise import (
+    DriftModel,
+    apply_common_leakage,
+    apply_readout_error,
+    audit_drift,
+    coherent_leak_prob_matrix,
+    drift_bound,
+    generate_drift_ensemble,
+)
 from qubitcert.sampling import estimator_bias_study, simulate_record
 from qubitcert.seeding import generators, offset_seed_words, spawned_seed_words
 
@@ -179,3 +195,75 @@ def test_every_count_and_seed_argument_takes_only_integers(monkeypatch, name, ca
     message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+def _with_first_angle(v):
+    """II-0's config document with its first preparation's alpha set to v."""
+    doc = config_to_dict(_II0)
+    doc["preparations"][0][0] = v
+    return doc
+
+
+#: every real argument of the public calls: (call, argument, the call with the
+#: argument set to v and every other argument valid, a valid float and a
+#: valid integer value of the argument)
+REAL_ARGUMENTS = [
+    ("DriftModel", "epsilon", lambda v: DriftModel(v, 3), 0.02, 1),
+    ("generate_drift_ensemble", "epsilon",
+     lambda v: generate_drift_ensemble(_II0, DriftModel(v, 3, "column-mix"), 5), 0.02, 1),
+    ("audit_drift", "epsilon", lambda v: audit_drift(_II0, v, 3, _MODES, 0, 3), 0.02, 1),
+    ("drift_bound", "epsilon", drift_bound, 0.02, 2),
+    ("apply_common_leakage", "lambda_prep", lambda v: apply_common_leakage(_P, v, 0.5), 0.1, 0),
+    ("apply_common_leakage", "mu_meas", lambda v: apply_common_leakage(_P, 0.1, v), 0.5, 1),
+    ("apply_readout_error", "e0", lambda v: apply_readout_error(_P, v, 0.1), 0.05, 0),
+    ("apply_readout_error", "e1", lambda v: apply_readout_error(_P, 0.05, v), 0.1, 0),
+    ("coherent_leak_prob_matrix", "leak_angle", lambda v: coherent_leak_prob_matrix(_II0, v),
+     0.3, 2),
+    ("reduce_angle", "angle", reduce_angle, -0.5, -7),
+    (
+        "ConfigSet", "angle",
+        lambda v: ConfigSet("x", ((v, 0.0),) + _II0.preparations[1:], _II0.measurements),
+        0.3, 1,
+    ),
+    ("parametric_config", "i", parametric_config, 2.5, 3),
+    ("config_from_dict", "preparations[0][0]", lambda v: config_from_dict(_with_first_angle(v)),
+     0.3, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(True), "0.1", None, np.nan, np.inf, 10**400],
+    ids=["True", "np.bool_", "str", "None", "nan", "inf", "10**400"],
+)
+@pytest.mark.parametrize(
+    "name, call", [pytest.param(n, c, id=f"{f}-{n}") for f, n, c, _, _ in REAL_ARGUMENTS]
+)
+def test_every_real_argument_takes_only_finite_reals(monkeypatch, name, call, value):
+    """A bool, a string, None, NaN, an infinity or an int beyond the largest
+    float is no real argument anywhere: each call names the argument, with one
+    message, before anything is drawn."""
+    for attr in ("default_rng", "Generator"):
+        monkeypatch.setattr(
+            np.random, attr, lambda *a, **k: pytest.fail("drew before the check")
+        )
+    message = f"^{re.escape(name)} must be a finite real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def _bits(result):
+    """A result in a form that differs whenever its bits or its type do."""
+    return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+
+@pytest.mark.parametrize(
+    "call, real, integer",
+    [pytest.param(c, r, i, id=f"{f}-{n}") for f, n, c, r, i in REAL_ARGUMENTS],
+)
+def test_numpy_reals_give_the_results_of_python_floats(call, real, integer):
+    """An np.float64 or np.int64 real argument is taken as the Python float of
+    its value: every result is bit-identical, down to the Python float type of
+    a returned number."""
+    assert _bits(call(np.float64(real))) == _bits(call(real))
+    assert _bits(call(np.int64(integer))) == _bits(call(float(integer)))
+    assert _bits(call(integer)) == _bits(call(float(integer)))
