@@ -148,8 +148,10 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args.config)
     drift = None
     if args.drift_eps != 0.0:
-        rates = (args.leak_lambda, args.leak_mu, args.readout_e0, args.readout_e1)
-        if args.coherent_leak is not None or any(rates):
+        strengths = (
+            args.coherent_leak, args.leak_lambda, args.leak_mu, args.readout_e0, args.readout_e1
+        )
+        if any(strengths):
             raise ValueError(
                 "--drift-eps cannot be combined with other noise flags "
                 "(--coherent-leak, --leak-lambda, --leak-mu, --readout-e0/e1): "
@@ -161,14 +163,14 @@ def cmd_simulate(args) -> int:
     if args.leak_mu and not args.leak_lambda:
         # mu is the response of the leaked weight lambda, so alone it is a no-op
         raise ValueError("--leak-mu has no effect without a nonzero --leak-lambda")
-    if args.coherent_leak is not None:
+    # a zero strength is no channel: chi = 0 skips the qutrit model, which is
+    # only round-off close to the qubit one, and both maps below keep p's bits
+    if args.coherent_leak:
         true_p = coherent_leak_prob_matrix(config, args.coherent_leak)
     else:
         true_p = predicted_prob_matrix(config)
-    if args.leak_lambda:
-        true_p = apply_common_leakage(true_p, args.leak_lambda, args.leak_mu)
-    if args.readout_e0 or args.readout_e1:
-        true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
+    true_p = apply_common_leakage(true_p, args.leak_lambda, args.leak_mu)
+    true_p = apply_readout_error(true_p, args.readout_e0, args.readout_e1)
 
     job_ps = true_p
     if drift is not None:
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-eps", type=float, default=0.0, help="per-job drift budget")
     p.add_argument("--drift-mode", choices=["angle-jitter", "column-mix"])
     p.add_argument(
-        "--coherent-leak", type=float, default=None, metavar="CHI",
+        "--coherent-leak", type=float, default=0.0, metavar="CHI",
         help="coherent leak angle per gate (three-level model)",
     )
     p.add_argument("--device", default="simulator", help="device label for the record")

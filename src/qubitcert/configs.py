@@ -119,12 +119,7 @@ _MEAS_I_SECOND = (
 
 # Case II shares measurements and preparations 1..4 with I-second (minus the
 # north-pole preparation); the fifth preparation is the parametric one.
-_PREPS_II_FIXED = (
-    (0.0, 0.0),
-    (ETA - _PI, 0.0),
-    (ETA + 5 * _PI / 3, 2 * _PI / 3),
-    (ETA + _PI / 3, -2 * _PI / 3),
-)
+_PREPS_II_FIXED = (_PREPS_I_SECOND[0], *_PREPS_I_SECOND[2:])
 
 
 def parametric_config(i: float) -> ConfigSet:

@@ -33,7 +33,6 @@ mode of an audit reads one draw, and nothing drawn is kept between calls.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -198,13 +197,6 @@ def _column_mix_patterns(
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _reference_rows(config: ConfigSet) -> np.ndarray:
-    """The config's predicted measured rows, (4, 5), read-only.  One config
-    is kept: an audit asks for the same one once per block."""
-    return predicted_prob_matrix(config)[:4]
-
-
 def _unit(words: np.ndarray) -> np.ndarray:
     """numpy's unit double of each raw PCG64 word: ``(w >> 11) * 2**-53``."""
     return (words >> 11) * 2.0**-53
@@ -232,7 +224,7 @@ def _drift_block(
     """Each mode's ensembles, ``(trials, n_jobs, 5, 5)``, of drifting runs
     ``seed`` to ``seed + trials - 1``.  Every run's stream is drawn once, into
     one array that every mode reads."""
-    ref = _reference_rows(config)
+    ref = predicted_prob_matrix(config)[:4]
     if eps == 0.0:
         return [prob_matrix(np.broadcast_to(ref, (trials, n_jobs, 4, 5)))] * len(modes)
     # word 0, then 18 words per job for angle jitter and 40 for column-mix
@@ -333,7 +325,8 @@ def coherent_leak_prob_matrix(config: ConfigSet, leak_angle: float) -> np.ndarra
     """Outcome probabilities |<0| U_theta U_phi U_beta U_alpha |0>|^2 with
     every gate embedded as the leaky qutrit unitary above, a phase-dependent
     coherent rotation by ``leak_angle`` into a third level.  ``leak_angle = 0``
-    reduces exactly to the qubit model."""
+    reduces to the qubit model up to round-off (about 1.2e-15 on the
+    built-ins), which is why ``simulate`` treats a zero angle as no leak."""
     leak_angle = real_arg("leak_angle", leak_angle)
     ket0 = np.zeros(3, dtype=complex)
     ket0[0] = 1.0

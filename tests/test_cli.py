@@ -164,6 +164,34 @@ def test_simulate_drift_excludes_other_noise(tmp_path, capsys):
     assert "drift" in stderr
 
 
+def _simulate_bytes(capsys, tmp_path, *flags):
+    """Stdout and record bytes of one small II-0 run, which must succeed;
+    every run writes the same path, so stdout names the same file."""
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", "II-0", "--jobs", "3", "--shots", "100",
+        "--seed", "5", *flags, "--out", str(out),
+    )
+    assert code == EXIT_OK, stderr
+    return stdout, out.read_bytes()
+
+
+_STRENGTH_FLAGS = [
+    "--coherent-leak", "--leak-lambda", "--leak-mu", "--readout-e0", "--readout-e1", "--drift-eps",
+]
+
+
+@pytest.mark.parametrize(
+    "flags, alone",
+    [((flag, zero), ()) for flag in _STRENGTH_FLAGS for zero in ("0", "-0.0")]
+    + [(("--coherent-leak", "0", "--drift-eps", "0.02"), ("--drift-eps", "0.02"))],
+    ids=lambda v: " ".join(v) or "clean",
+)
+def test_simulate_zero_strength_is_no_channel(tmp_path, capsys, flags, alone):
+    # a noise flag at 0 or -0.0 gives the bytes of the run without it
+    assert _simulate_bytes(capsys, tmp_path, *flags) == _simulate_bytes(capsys, tmp_path, *alone)
+
+
 def test_simulate_drift_excludes_leak_mu(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, stdout, stderr = run(

@@ -175,6 +175,26 @@ def test_audit_drift_matches_the_per_trial_reference_in_both_modes(n_jobs):
             assert mode_worst == reference_worst(cfg, model, seed, trials), (mode, trials)
 
 
+def test_audit_drift_keeps_nothing_between_calls(monkeypatch):
+    """Every block derives the config's reference rows itself: a second audit
+    of the same config makes the same calls as the first, one per block."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return predicted_prob_matrix(config)
+
+    monkeypatch.setattr(noise, "predicted_prob_matrix", counted)
+    cfg = builtin_config("II-0")
+    results = []
+    for _ in range(2):
+        calls.clear()
+        # four trials per block, so six trials make two blocks
+        results.append(audit_drift(cfg, 0.02, AUDIT_BLOCK_MEMBERS // 4, ("column-mix",), 0, 6))
+        assert calls == [cfg, cfg]
+    assert results[0] == results[1]
+
+
 def test_drift_bound_formula():
     assert drift_bound(0.0) == 0.0
     assert drift_bound(0.01) == pytest.approx(80 * math.sqrt(2) * 1e-4)
