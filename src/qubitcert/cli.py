@@ -35,6 +35,7 @@ from .extremal import (
 )
 from .noise import (
     AUDIT_BLOCK_MEMBERS,
+    DRIFT_MODES,
     DriftModel,
     apply_common_leakage,
     apply_readout_error,
@@ -72,10 +73,12 @@ def _seed(text: str) -> int:
     return value
 
 
-def _check_out_path(flag: str, value: str | None) -> None:
+def _check_out(flag: str, value: str | None, *inputs: tuple[str, str | None]) -> None:
     """Fail before the work, not after it: an output path given for ``flag``
-    must be non-empty, lie in an existing directory and not be a directory
-    itself.  ``None`` means the flag was not given."""
+    must be non-empty, lie in an existing directory, not be a directory
+    itself, and not name the same file as the path of any ``(name, path)`` in
+    ``inputs`` (an input, or another output), which it would overwrite.
+    ``None`` means the flag, or that input, was not given."""
     if value is None:
         return
     if not value:
@@ -84,31 +87,29 @@ def _check_out_path(flag: str, value: str | None) -> None:
         raise OSError(f"{flag} {value}: {Path(value).parent} is not a directory")
     if Path(value).is_dir():
         raise OSError(f"{flag} {value}: is a directory")
+    for other, other_value in inputs:
+        if other_value is None:
+            continue
+        try:
+            same = Path(value).samefile(other_value)
+        except OSError:  # one of them does not exist yet
+            same = os.path.realpath(value) == os.path.realpath(other_value)
+        if same:
+            raise OSError(f"{flag} {value}: is the same file as {other} {other_value}")
 
 
-def _check_not_same_file(
-    flag: str, value: str | None, other: str, other_value: str | None
-) -> None:
-    """Fail before the work, not after it: the output path ``value`` given for
-    ``flag`` must not name the same file as ``other_value``, the path of
-    ``other`` (an input, or another output), which it would overwrite.
-    ``None`` means the flag was not given."""
-    if value is None or other_value is None:
-        return
-    try:
-        same = Path(value).samefile(other_value)
-    except OSError:  # one of them does not exist yet
-        same = os.path.realpath(value) == os.path.realpath(other_value)
-    if same:
-        raise OSError(f"{flag} {value}: is the same file as {other} {other_value}")
+def _config_file(value: str) -> str | None:
+    """The config file that --config names: ``None`` for a built-in id, which
+    wins over a file of the same name."""
+    return None if value in BUILTIN_IDS else value
 
 
 def _resolve_config(value: str) -> ConfigSet:
     """Accept a built-in id or a path to a config JSON file."""
-    if value in BUILTIN_IDS:
+    path = _config_file(value)
+    if path is None:
         return builtin_config(value)
-    path = Path(value)
-    if path.exists():
+    if Path(path).exists():
         return load_config(path)
     raise ValueError(
         f"{value!r} is neither a built-in config id ({', '.join(BUILTIN_IDS)}) "
@@ -117,7 +118,7 @@ def _resolve_config(value: str) -> ConfigSet:
 
 
 def cmd_gen_config(args) -> int:
-    _check_out_path("--out", args.out)
+    _check_out("--out", args.out)
     if args.id is not None:
         config = builtin_config(args.id)
     else:
@@ -142,9 +143,7 @@ def cmd_gen_config(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_out_path("--out", args.out)
-    if args.config not in BUILTIN_IDS:
-        _check_not_same_file("--out", args.out, "--config", args.config)
+    _check_out("--out", args.out, ("--config", _config_file(args.config)))
     config = _resolve_config(args.config)
     drift = None
     if args.drift_eps != 0.0:
@@ -192,11 +191,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_out_path("--out", args.out)
-    _check_out_path("--svg", args.svg)
-    _check_not_same_file("--out", args.out, "the record", args.record)
-    _check_not_same_file("--svg", args.svg, "the record", args.record)
-    _check_not_same_file("--svg", args.svg, "--out", args.out)
+    _check_out("--out", args.out, ("the record", args.record))
+    _check_out("--svg", args.svg, ("the record", args.record), ("--out", args.out))
     record = load_record(args.record)
     report = analyze_record(record)
     print(render_text(report))
@@ -210,9 +206,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_audit_drift(args) -> int:
-    _check_out_path("--out", args.out)
-    if args.config not in BUILTIN_IDS:
-        _check_not_same_file("--out", args.out, "--config", args.config)
+    _check_out("--out", args.out, ("--config", _config_file(args.config)))
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.jobs > AUDIT_BLOCK_MEMBERS:  # one trial fills at most one block
@@ -238,7 +232,7 @@ def cmd_audit_drift(args) -> int:
             "|W| is round-off, so the audit could not fail; give --jobs >= 2"
         )
     both = args.drift_mode == "both"
-    modes = ("angle-jitter", "column-mix") if both else (args.drift_mode,)
+    modes = DRIFT_MODES if both else (args.drift_mode,)
     # checked before any draw, so a usage error prints nothing to stdout
     worst = audit_drift(config, args.drift_eps, args.jobs, modes, args.seed, args.trials)
     print(
@@ -267,7 +261,7 @@ def cmd_optimize(args) -> int:
     restarts = DEFAULT_RESTARTS[args.dim] if args.restarts is None else args.restarts
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"--restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
-    _check_out_path("--out", args.out)
+    _check_out("--out", args.out)
     label, target = KNOWN_MAXIMA[(args.dim, args.field)]
     print(f"d = {args.dim}, field = {args.field}, restarts = {restarts}")
     print(f"target: {label}")
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--readout-e0", type=float, default=0.0, help="P(read 1 | true 0)")
     p.add_argument("--readout-e1", type=float, default=0.0, help="P(read 0 | true 1)")
     p.add_argument("--drift-eps", type=float, default=0.0, help="per-job drift budget")
-    p.add_argument("--drift-mode", choices=["angle-jitter", "column-mix"])
+    p.add_argument("--drift-mode", choices=DRIFT_MODES)
     p.add_argument(
         "--coherent-leak", type=float, default=0.0, metavar="CHI",
         help="coherent leak angle per gate (three-level model)",
@@ -331,11 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=10)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument(
-        "--drift-mode",
-        choices=["both", "angle-jitter", "column-mix"],
-        default="both",
-    )
+    p.add_argument("--drift-mode", choices=["both", *DRIFT_MODES], default="both")
     p.add_argument("--out", help="audit summary CSV path")
     p.set_defaults(func=cmd_audit_drift)
 

@@ -251,7 +251,7 @@ def minimize(fun, x0, **kwargs):
 def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> SearchResult:
     """Random-restart see-saw ascent over d-dimensional strategies (d = 2, 3
     or 4, ``field`` "real" or "complex", 1 to ``MAX_RESTARTS`` restarts, a
-    seed >= 0; the counts are Python or numpy integers, not bools).
+    seed >= 0; d and the counts are Python or numpy integers, not bools).
 
     Restarts draw independent starting points from generators spawned as
     (seed, restart index) and ascend as one batch, so each restart's result
@@ -263,7 +263,7 @@ def maximize_witness(d: int, field: str, restarts: int, seed: int = 0) -> Search
     result also carries every restart's final W, sweep count and converged
     flag.
     """
-    if d not in (2, 3, 4):
+    if (d := integer_arg("d", d, 2)) not in (2, 3, 4):
         raise ValueError(f"d must be 2, 3 or 4, got {d}")
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")

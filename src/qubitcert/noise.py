@@ -41,10 +41,11 @@ import numpy as np
 from .bloch import meas_bloch_vectors, prep_bloch_vectors
 from .configs import ConfigSet, predicted_prob_matrix
 from .seeding import generators, integer_arg, offset_seed_words, real_arg
-from .witness import prob_matrix
+from .witness import _mat, prob_matrix
 
 __all__ = [
     "AUDIT_BLOCK_MEMBERS",
+    "DRIFT_MODES",
     "DriftModel",
     "apply_common_leakage",
     "apply_readout_error",
@@ -65,6 +66,9 @@ _JITTER_LIPSCHITZ = 1.0 + _SQRT2
 #: (1024 trials at 10 jobs), so its memory does not grow with the trial count
 AUDIT_BLOCK_MEMBERS = 10_240
 
+#: the drift modes, each described under :class:`DriftModel`
+DRIFT_MODES = ("angle-jitter", "column-mix")
+
 
 def _check_drift(epsilon: float, n_jobs: int = 1, modes=()) -> tuple[float, int]:
     """Reject a drift budget, job count or mode of no drifting run; return
@@ -73,10 +77,9 @@ def _check_drift(epsilon: float, n_jobs: int = 1, modes=()) -> tuple[float, int]
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     n_jobs = integer_arg("n_jobs", n_jobs, 1)
     for mode in modes:
-        if mode not in ("angle-jitter", "column-mix"):
-            raise ValueError(
-                f"perturbation_mode must be 'angle-jitter' or 'column-mix', got {mode!r}"
-            )
+        if mode not in DRIFT_MODES:
+            names = " or ".join(map(repr, DRIFT_MODES))
+            raise ValueError(f"perturbation_mode must be {names}, got {mode!r}")
     return epsilon, n_jobs
 
 
@@ -108,10 +111,10 @@ class DriftModel:
 
 
 def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> np.ndarray:
-    """Common incoherent leakage: weight ``lambda_prep`` moved from every
-    preparation to one external state, to which every effect responds with
-    probability ``mu_meas``; p'_{kj} = (1 - lambda) p_{kj} + lambda * mu on the
-    measured rows.
+    """Common incoherent leakage of the 5x5 matrix ``p``: weight
+    ``lambda_prep`` moved from every preparation to one external state, to
+    which every effect responds with probability ``mu_meas``;
+    p'_{kj} = (1 - lambda) p_{kj} + lambda * mu on the measured rows.
 
     This is the probability-level action of normalized leaky preparations
     N' = (1-lambda) N + lambda |e><e| against effects with <e|M'|e> = mu.
@@ -122,16 +125,17 @@ def apply_common_leakage(p: np.ndarray, lambda_prep: float, mu_meas: float) -> n
         raise ValueError(f"lambda_prep must be in [0, 1), got {lambda_prep}")
     if not 0.0 <= mu_meas <= 1.0:
         raise ValueError(f"mu_meas must be in [0, 1], got {mu_meas}")
-    return prob_matrix((1.0 - lambda_prep) * p[:4] + lambda_prep * mu_meas)
+    return prob_matrix((1.0 - lambda_prep) * _mat(p)[:4] + lambda_prep * mu_meas)
 
 
 def apply_readout_error(p: np.ndarray, e0: float, e1: float) -> np.ndarray:
-    """Uniform assignment errors: 0 read as 1 with ``e0``, 1 read as 0 with
-    ``e1``; p' = e0 + (1 - e0 - e1) p.  Scales the witness by (1-e0-e1)^4."""
+    """Uniform assignment errors of the 5x5 matrix ``p``: 0 read as 1 with
+    ``e0``, 1 read as 0 with ``e1``; p' = e0 + (1 - e0 - e1) p.  Scales the
+    witness by (1-e0-e1)^4."""
     e0, e1 = real_arg("e0", e0), real_arg("e1", e1)
     if not (0.0 <= e0 < 1.0 and 0.0 <= e1 < 1.0 and e0 + e1 < 1.0):
         raise ValueError(f"need e0, e1 in [0, 1) with e0 + e1 < 1, got {e0}, {e1}")
-    return prob_matrix(e0 + (1.0 - e0 - e1) * p[:4])
+    return prob_matrix(e0 + (1.0 - e0 - e1) * _mat(p)[:4])
 
 
 def drift_bound(epsilon: float) -> float:

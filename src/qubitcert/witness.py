@@ -144,11 +144,13 @@ def adjugate(p: np.ndarray, entries=...) -> np.ndarray:
 def witness_variance(p: np.ndarray, T: int) -> float:
     """Leading-order variance of the witness under binomial shot noise.
 
-    ``T`` is the total count behind every cell of ``p``.  The sum runs over
-    all 25 cells; the constant row contributes nothing since p(1-p) = 0 there.
+    ``T``, an integer >= 1, is the total count behind every cell of ``p``.
+    The sum runs over all 25 cells; the constant row contributes nothing since
+    p(1-p) = 0 there.
     """
-    if T < 1:
-        raise ValueError(f"total count T must be >= 1, got {T}")
+    from .seeding import integer_arg  # here: importing witness loads no other module
+
+    T = integer_arg("T", T, 1)
     a = _mat(p)
     adj = adjugate(a)
     return float(np.sum(a * (1.0 - a) * adj.T**2)) / T

@@ -996,6 +996,21 @@ def test_an_output_that_names_an_input_or_another_output_fails_before_the_work(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
+def test_a_builtin_id_wins_over_a_file_of_the_same_name(tmp_path, capsys, monkeypatch):
+    """--config II-0 names the built-in config even beside a file II-0, so an
+    output at II-0 overwrites no input: no same-file error, and the file's
+    unreadable contents are never loaded."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "II-0").write_text("not a config", encoding="utf-8")
+    for argv in (
+        ["simulate", "--config", "II-0", "--out", "II-0"],
+        ["audit-drift", "--config", "II-0", "--drift-eps", "0.02", "--trials", "2",
+         "--out", "II-0"],
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert (code, stderr) == (EXIT_OK, "")
+
+
 def test_no_command_prints_help(capsys):
     code, stdout, _ = run(capsys)
     assert code == EXIT_USAGE

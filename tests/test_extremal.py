@@ -44,6 +44,12 @@ def test_problem_validation():
         maximize_witness(3, "rational", restarts=1)
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1, 5, np.int64(1)], ids=repr)
+def test_every_integer_outside_two_to_four_is_no_dim(d):
+    with pytest.raises(ValueError, match=f"^d must be .*, got {int(d)}$"):
+        maximize_witness(d, "real", restarts=1)
+
+
 def test_strategy_point_validation(rng):
     psi = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 """Noise channels: invisible ones stay invisible, the coherent leak is seen."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_readout_example():
     p = prob_matrix(rows)
     q = apply_readout_error(p, 0.1, 0.1)
     assert witness(q) == pytest.approx(0.8**4 * witness(p), abs=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (4, 5), (3, 4, 5), (5, 5, 5)], ids=str)
+@pytest.mark.parametrize(
+    "channel",
+    [lambda p: apply_common_leakage(p, 0.2, 0.4), lambda p: apply_readout_error(p, 0.05, 0.1)],
+    ids=["leakage", "readout"],
+)
+def test_channels_take_only_a_5x5_matrix(channel, shape):
+    """Neither channel truncates extra rows, pads missing ones or maps a stack."""
+    message = f"^expected a 5x5 matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        channel(np.full(shape, 0.5))
 
 
 def test_channels_commute_on_witness_scale(rng):

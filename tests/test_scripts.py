@@ -172,3 +172,24 @@ def test_device_footprints_flag_only_the_leak(monkeypatch, capsys):
         assert slash == "/"
         assert abs(float(z_i)) < 5.0 and abs(float(z_ii)) < 5.0, row
         assert float(z_leak) > 5.0, row
+
+
+def test_output_digests_are_reproducible(tmp_path):
+    """Two runs print the same digest of every listed CLI command's output,
+    one line per command, so the digests of two checkouts can be compared."""
+    path = next(p for p in SCRIPTS if p.name == "output_digests.py")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path_entries = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    runs = [
+        subprocess.run(
+            [sys.executable, str(path)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        for _ in range(2)
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) > 60 and all(" | exit " in line for line in lines)
+    assert list(tmp_path.iterdir()) == []

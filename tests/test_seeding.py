@@ -30,6 +30,7 @@ from qubitcert.noise import (
 )
 from qubitcert.sampling import estimator_bias_study, simulate_record
 from qubitcert.seeding import generators, offset_seed_words, spawned_seed_words
+from qubitcert.witness import witness_variance
 
 #: small seeds; blocks crossing 2^32 and 2^64 (one word to two, two to
 #: three); 2^96 - 3 (four words); and seeds of more than four words, whose
@@ -169,6 +170,8 @@ ARGUMENTS = [
     ("estimator_bias_study", "seed", lambda v: estimator_bias_study(_P, 2, [10], 3, v)),
     ("maximize_witness", "restarts", lambda v: maximize_witness(3, "real", v)),
     ("maximize_witness", "seed", lambda v: maximize_witness(3, "real", 2, v)),
+    ("maximize_witness", "d", lambda v: maximize_witness(v, "real", 2)),
+    ("witness_variance", "T", lambda v: witness_variance(_P, v)),
     ("DriftModel", "n_jobs", lambda v: DriftModel(0.02, v)),
     ("generate_drift_ensemble", "seed", lambda v: generate_drift_ensemble(_II0, _MODEL, v)),
     ("audit_drift", "n_jobs", lambda v: audit_drift(_II0, 0.02, v, _MODES, 0, 3)),
